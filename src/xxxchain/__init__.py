@@ -17,6 +17,7 @@ from .bethe import (
 from .errors import (
     ChainError,
     DegenerateRootsError,
+    InputRangeError,
     NewtonFailureError,
     PoleError,
     ResourceCapError,

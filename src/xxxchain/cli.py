@@ -17,7 +17,7 @@ import numpy as np
 
 from . import verify
 from .bethe import build_bethe_state
-from .errors import ChainError, ResourceCapError
+from .errors import ChainError, InputRangeError, ResourceCapError
 from .hamiltonian import ChainHamiltonian, build_beta_table, local_h
 from .solver import SolverOptions, solve_sector
 from .su2 import DEFAULT_CAP, Spin
@@ -54,19 +54,20 @@ def _cap(args) -> int:
 
 
 def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions()
+    """SolverOptions from the tolerance, seed and strategy flags; the
+    constructor rejects out-of-range values with an InputRangeError."""
+    overrides = {}
     if getattr(args, "tol_newton", None) is not None:
-        opts.tol_newton = args.tol_newton
+        overrides["tol_newton"] = args.tol_newton
     if getattr(args, "tol_eigen", None) is not None:
-        opts.tol_eigen = args.tol_eigen
-        opts.tol_hw = args.tol_eigen
+        overrides["tol_eigen"] = overrides["tol_hw"] = args.tol_eigen
     if getattr(args, "tol_match", None) is not None:
-        opts.tol_match = args.tol_match
+        overrides["tol_match"] = args.tol_match
     if getattr(args, "seed", None) is not None:
-        opts.seed = args.seed
+        overrides["seed"] = args.seed
     if getattr(args, "strategy", None):
-        opts.strategies = tuple(args.strategy)
-    return opts
+        overrides["strategies"] = tuple(args.strategy)
+    return SolverOptions(**overrides)
 
 
 def cmd_beta(args, parser):
@@ -186,6 +187,9 @@ def cmd_aba_compare(args, parser):
             z = complex(rng.normal(scale=1.5), rng.normal(scale=1.5))
             if min(abs(z - 1j * spin.s), abs(z + 1j * spin.s)) > 0.1:
                 lams.append(z)
+    if not lams:
+        raise InputRangeError("aba-compare needs at least one rapidity: "
+                              "a positive --count or a non-empty --lambda")
     rows = []
     for lam in lams:
         phi = verify.aba_phi1(spin, args.length, lam)

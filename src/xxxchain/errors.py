@@ -21,6 +21,10 @@ class SingularScatteringError(ChainError, ValueError):
     """Scattering-matrix denominator vanishes for this argument pair."""
 
 
+class InputRangeError(ChainError, ValueError):
+    """An option, count or sector index outside its admissible range."""
+
+
 class ResourceCapError(ChainError, RuntimeError):
     """Requested Hilbert-space dimension exceeds the configured cap."""
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import InputRangeError
 from .su2 import Spin
 
 
@@ -66,7 +67,7 @@ def _compositions(length: int, total: int, maxdigit: int):
 @lru_cache(maxsize=None)
 def sector_basis(spin: Spin, length: int, m: int) -> SectorBasis:
     if not (0 <= m <= spin.two_s * length):
-        raise ValueError(f"sector m={m} outside 0..{spin.two_s * length}")
+        raise InputRangeError(f"sector m={m} outside 0..{spin.two_s * length}")
     states = tuple(_compositions(length, m, spin.two_s))
     return SectorBasis(spin, length, m, states)
 

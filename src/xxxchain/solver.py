@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import hilbert
 from .bethe import BetheState, build_bethe_state
-from .errors import ChainError, NewtonFailureError
+from .errors import ChainError, InputRangeError, NewtonFailureError
 from .hamiltonian import ChainHamiltonian
 from .su2 import Spin
 
@@ -55,6 +56,19 @@ class SolverOptions:
     seed: int = 0
     strategies: tuple = ("free-momenta", "two-string", "strings", "random")
     include_singular: bool = True
+
+    def __post_init__(self):
+        for name in ("tol_newton", "tol_match"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InputRangeError(f"{name} must be finite and positive, got {value!r}")
+        # an infinite tol_eigen or tol_hw switches that filter off
+        for name in ("tol_eigen", "tol_hw"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise InputRangeError(f"{name} must be positive, got {value!r}")
+        if self.max_iter < 1:
+            raise InputRangeError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -89,64 +103,77 @@ class RootCertificate:
         }
 
 
-def _products(lam: np.ndarray, s: float, length: int):
+# row 0 carries lambda + is and the factors lambda_j - lambda_l - i,
+# row 1 carries lambda - is and lambda_j - lambda_l + i
+_SHIFTS = np.array([[1j], [-1j]])
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(m: int) -> np.ndarray:
+    mask = ~np.eye(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _factors(lam: np.ndarray, s: float):
+    """(lambda_j +- is) as a 2 x m array and the pair factors
+    lambda_j - lambda_l -+ i (l != j, ascending) as a 2 x m x (m-1) array."""
     m = len(lam)
-    t1 = (lam + 1j * s) ** length
-    t2 = (lam - 1j * s) ** length
-    for j in range(m):
-        for ell in range(m):
-            if ell != j:
-                t1[j] *= lam[j] - lam[ell] - 1j
-                t2[j] *= lam[j] - lam[ell] + 1j
-    return t1, t2
+    diff = (lam[:, None] - lam[None, :])[_off_diagonal(m)].reshape(m, m - 1)
+    return lam + s * _SHIFTS, diff - _SHIFTS[:, :, None]
+
+
+def _products(lam: np.ndarray, s: float, length: int) -> np.ndarray:
+    """The terms t1, t2 of F = t1 - t2 as the rows of a 2 x m array."""
+    poles, pairs = _factors(lam, s)
+    return poles**length * pairs.prod(axis=2)
+
+
+def _residual(lam: np.ndarray, system: BetheSystem):
+    """F(lambda) and its scaled maximum from one product pass."""
+    t1, t2 = _products(lam, system.spin.s, system.length)
+    f = t1 - t2
+    scale = np.abs(t1) + np.abs(t2)
+    out = np.zeros(len(f))
+    np.divide(np.abs(f), scale, out=out, where=scale > 0.0)
+    return f, float(out.max())
 
 
 def bethe_residual(lam, system: BetheSystem) -> np.ndarray:
     """Polynomial-cleared residual vector F(lambda)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    t1, t2 = _products(lam, system.spin.s, system.length)
-    return t1 - t2
-
-
-def residual_scale(lam, system: BetheSystem) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    t1, t2 = _products(lam, system.spin.s, system.length)
-    return np.abs(t1) + np.abs(t2)
+    return _residual(np.atleast_1d(np.asarray(lam, dtype=complex)), system)[0]
 
 
 def scaled_residual(lam, system: BetheSystem) -> float:
     """max_j |F_j| / (|t1_j| + |t2_j|); the 0/0 of an exactly-cancelling pair
     counts as 0.  Relative scaling keeps the spurious near-zero sheet around
     the poles from masquerading as converged."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    residual = np.abs(bethe_residual(lam, system))
-    scale = residual_scale(lam, system)
-    out = np.zeros_like(residual)
-    np.divide(residual, scale, out=out, where=scale > 0.0)
-    return float(np.max(out))
+    return _residual(np.atleast_1d(np.asarray(lam, dtype=complex)), system)[1]
 
 
 def jacobian(lam, system: BetheSystem) -> np.ndarray:
-    """Analytic Jacobian dF_j/dlambda_r; products differentiate termwise."""
+    """Analytic Jacobian dF_j/dlambda_r; products differentiate termwise.
+
+    The product of all pair factors but one comes from prefix and suffix
+    products, never by division, so an exactly vanishing factor (two roots
+    at distance i, as in an exact string) is handled like any other."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     m = len(lam)
     s, length = system.spin.s, system.length
-    out = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        others = [ell for ell in range(m) if ell != j]
-        dm = np.array([lam[j] - lam[ell] - 1j for ell in others])
-        dp = np.array([lam[j] - lam[ell] + 1j for ell in others])
-        pm, pp = np.prod(dm), np.prod(dp)
-        a = (lam[j] + 1j * s) ** length
-        b = (lam[j] - 1j * s) ** length
-        da = length * (lam[j] + 1j * s) ** (length - 1)
-        db = length * (lam[j] - 1j * s) ** (length - 1)
-        diag = da * pm - db * pp
-        for i, _ in enumerate(others):
-            diag += a * np.prod(np.delete(dm, i)) - b * np.prod(np.delete(dp, i))
-        out[j, j] = diag
-        for i, r in enumerate(others):
-            out[j, r] = -a * np.prod(np.delete(dm, i)) + b * np.prod(np.delete(dp, i))
+    poles, pairs = _factors(lam, s)
+    d_poles = length * poles ** (length - 1)
+    if m == 1:
+        return (d_poles[0] - d_poles[1]).reshape(1, 1)
+    ones = np.ones((2, m, 1), dtype=complex)
+    prefix = np.cumprod(np.concatenate((ones, pairs[:, :, :-1]), axis=2), axis=2)
+    suffix = np.cumprod(np.concatenate((ones, pairs[:, :, :0:-1]), axis=2), axis=2)[:, :, ::-1]
+    full = prefix[:, :, -1] * pairs[:, :, -1]
+    # d(lambda_j - lambda_r -+ i)/dlambda_r = -1 for the factor l = r
+    partial = poles[:, :, None] ** length * prefix * suffix
+    off = partial[1] - partial[0]
+    out = np.empty((m, m), dtype=complex)
+    out[_off_diagonal(m)] = off.ravel()
+    np.fill_diagonal(out, d_poles[0] * full[0] - d_poles[1] * full[1] - off.sum(axis=1))
     return out
 
 
@@ -175,25 +202,26 @@ def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 
     lam = np.atleast_1d(np.asarray(seed, dtype=complex)).copy()
     if lam.size != system.m:
         raise ValueError(f"seed has {lam.size} components, system needs {system.m}")
-    best = scaled_residual(lam, system)
+    # each accepted point's residual vector comes from the same product pass
+    # as its scaled residual and feeds the next Newton step
+    f, best = _residual(lam, system)
     for it in range(max_iter):
-        if not np.all(np.isfinite(lam)):
+        if not np.isfinite(lam).all():
             raise NewtonFailureError("nonfinite", "iterate left the finite domain")
+        step = _newton_step(lam, f, system)
         if best <= tol:
             # one polishing step sharpens the root well below tol
-            polished = _newton_step(lam, system)
-            if polished is not None and scaled_residual(polished, system) <= best:
-                lam = polished
+            if step is not None and _residual(lam + step, system)[1] <= best:
+                lam = lam + step
             return lam, it
-        step = _newton_step(lam, system, direction_only=True)
         if step is None:
             raise NewtonFailureError("singular-jacobian")
         accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128):
             cand = lam + damp * step
-            r = scaled_residual(cand, system)
-            if np.isfinite(r) and r < best:
-                lam, best = cand, r
+            f_cand, r = _residual(cand, system)
+            if math.isfinite(r) and r < best:
+                lam, f, best = cand, f_cand, r
                 accepted = True
                 break
         if not accepted:
@@ -203,16 +231,16 @@ def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 
     raise NewtonFailureError("max-iter", f"residual {best:.3e} after {max_iter} iterations")
 
 
-def _newton_step(lam, system, direction_only: bool = False):
-    f = bethe_residual(lam, system)
+def _newton_step(lam, f, system):
+    """Newton direction -J^{-1} F at lam, given F = bethe_residual(lam)."""
     jac = jacobian(lam, system)
     try:
         step = np.linalg.solve(jac, -f)
     except np.linalg.LinAlgError:
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-    if not np.all(np.isfinite(step)):
+    if not np.isfinite(step).all():
         return None
-    return step if direction_only else lam + step
+    return step
 
 
 def free_momenta_rapidities(spin: Spin, length: int) -> list:
@@ -395,7 +423,11 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         opts = SolverOptions()
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(spin, length)
-    if m > spin.two_s * length:
+    if m < 0:
+        raise InputRangeError(f"sector m={m} is negative")
+    if 2 * m > spin.two_s * length:
+        # past the equator S^+ is injective on the sector: no highest-weight
+        # vector exists, so no root set there can be certified
         return []
     system = BetheSystem(spin, length, m)
     if m == 0:

@@ -63,6 +63,22 @@ def plane_wave_sum(x, k, spin: Spin):
     return total
 
 
+def naive_bethe_terms(lam, spin: Spin, length: int):
+    """The two terms t1, t2 of the cleared residual F = t1 - t2, one scalar
+    product at a time."""
+    t1, t2 = [], []
+    for j, lj in enumerate(lam):
+        a = (lj + 1j * spin.s) ** length
+        b = (lj - 1j * spin.s) ** length
+        for ell, ll in enumerate(lam):
+            if ell != j:
+                a *= lj - ll - 1j
+                b *= lj - ll + 1j
+        t1.append(a)
+        t2.append(b)
+    return np.array(t1), np.array(t2)
+
+
 def fd_jacobian(lam, system: BetheSystem, rel_step=1e-7):
     lam = np.asarray(lam, dtype=complex)
     m = len(lam)

@@ -180,6 +180,25 @@ def test_short_chain_is_usage_error():
     assert "length" in err
 
 
+def test_negative_sector_is_usage_error():
+    code, out, err = run_cli("solve", "--spin", "1/2", "-L", "4", "-m", "-1")
+    assert code == 2
+    assert not out and "sector m=-1" in err
+
+
+def test_nan_newton_tolerance_is_usage_error():
+    code, out, err = run_cli("solve", "--spin", "1/2", "-L", "4", "-m", "2",
+                             "--tol-newton", "nan")
+    assert code == 2
+    assert not out and "tol_newton must be finite" in err
+
+
+def test_aba_compare_without_rapidities_is_usage_error():
+    code, out, err = run_cli("aba-compare", "--spin", "1/2", "-L", "4", "--count", "0")
+    assert code == 2
+    assert not out and "at least one rapidity" in err
+
+
 def test_verify_passes_and_filters():
     code, out, _ = run_cli("verify")
     payload = json.loads(out)

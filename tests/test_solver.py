@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_jacobian
-from xxxchain import bethe
-from xxxchain.errors import ChainError, NewtonFailureError
+from oracles import fd_jacobian, naive_bethe_terms
+from xxxchain import bethe, hilbert
+from xxxchain.errors import ChainError, InputRangeError, NewtonFailureError
 from xxxchain.hamiltonian import ChainHamiltonian
 from xxxchain.solver import (
     BetheSystem,
@@ -72,6 +72,33 @@ def test_jacobian_matches_finite_differences():
         numeric = fd_jacobian(lam, system, rel_step=1e-7)
         scale = np.max(np.abs(analytic)) + 1.0
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
+
+
+def test_residual_matches_naive_products():
+    rng = np.random.default_rng(5)
+    for spin, length in ((Spin(1), 5), (Spin(2), 4), (Spin(3), 3)):
+        for m in range(1, 6):
+            system = BetheSystem(spin, length, m)
+            for _ in range(10):
+                lam = rng.normal(size=m) + 1j * rng.normal(size=m)
+                t1, t2 = naive_bethe_terms(lam, spin, length)
+                scale = np.abs(t1) + np.abs(t2)
+                assert np.all(np.abs(bethe_residual(lam, system) - (t1 - t2)) <= 1e-13 * scale)
+
+
+def test_jacobian_on_exact_strings():
+    # a factor lambda_j - lambda_l -+ i is exactly zero on these root sets
+    two_string = np.array([0.3 + 0.25j, 0.3 - 0.75j])
+    three_string = np.array([-0.4 + 1.25j, -0.4 + 0.25j, -0.4 - 0.75j])
+    for lam in (two_string, three_string, np.append(two_string, 1.1)):
+        assert lam[0] - lam[1] - 1j == 0
+        for spin, length in ((Spin(1), 5), (Spin(2), 4)):
+            system = BetheSystem(spin, length, len(lam))
+            analytic = jacobian(lam, system)
+            assert np.all(np.isfinite(analytic))
+            numeric = fd_jacobian(lam, system, rel_step=1e-6)
+            scale = np.max(np.abs(analytic)) + 1.0
+            assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
 
 
 def test_newton_converges_immediately_on_exact_seed():
@@ -162,6 +189,64 @@ def test_solve_sector_vacuum_and_overfilled():
     certs = solve_sector(Spin(1), 3, 0)
     assert len(certs) == 1 and certs[0].energy == 0
     assert solve_sector(Spin(1), 3, 4) == []
+
+
+def test_solve_sector_stops_at_the_equator():
+    # for s*L < m <= 2sL, S^+ from sector m to m-1 is injective (smallest
+    # singular value > 0), so no highest-weight vector exists there
+    for spin, length in ((Spin(1), 5), (Spin(2), 3), (Spin(3), 3)):
+        top = spin.two_s * length
+        for m in range(top // 2 + 1, top + 1):
+            s_plus = hilbert.sector_s_plus(spin, length, m).toarray()
+            assert np.linalg.svd(s_plus, compute_uv=False).min() > 0.1
+            assert solve_sector(spin, length, m) == []
+
+
+def test_solver_options_validation():
+    for bad in ({"tol_newton": math.nan}, {"tol_newton": math.inf}, {"tol_newton": 0.0},
+                {"tol_match": -1e-7}, {"tol_eigen": math.nan}, {"tol_hw": 0.0},
+                {"max_iter": 0}):
+        with pytest.raises(InputRangeError):
+            SolverOptions(**bad)
+    SolverOptions(tol_eigen=math.inf, tol_hw=math.inf)  # switches those filters off
+    with pytest.raises(InputRangeError):
+        solve_sector(Spin(1), 4, -1)
+
+
+# criterion-6 grid at the default seed: sorted energies of the certified
+# root sets per (spin, L, m), recorded before the vectorised Newton kernel
+CRITERION6_GRID = {
+    (1, 4, 1): [-4.0, -2.0, -2.0],
+    (1, 4, 2): [-6.0, -2.0],
+    (1, 4, 3): [],
+    (1, 5, 1): [-3.6180339887, -3.6180339887, -1.3819660113, -1.3819660113],
+    (1, 5, 2): [-6.2360679775, -6.2360679775, -4.0, -1.7639320225, -1.7639320225],
+    (1, 5, 3): [],
+    (1, 6, 1): [-4.0, -3.0, -3.0, -1.0, -1.0],
+    (1, 6, 2): [-7.2360679775, -5.5615528128, -5.5615528128, -5.0, -5.0, -2.7639320225,
+                -2.0, -1.4384471872, -1.4384471872],
+    (1, 6, 3): [-8.6055512755, -4.0, -4.0, -1.3944487245],
+    (2, 4, 1): [-2.0, -1.0, -1.0],
+    (2, 4, 2): [-5.4142135624, -4.0, -4.0, -2.5857864376, -2.0, -2.0],
+    (2, 4, 3): [-7.0, -4.6180339887, -4.6180339887, -2.3819660113, -2.3819660113],
+    (2, 5, 1): [-1.8090169944, -1.8090169944, -0.6909830056, -0.6909830056],
+    (2, 5, 2): [-5.3027756377, -4.5281586141, -4.5281586141, -2.898892369, -2.898892369,
+                -2.7602651382, -2.7602651382, -1.6972243623, -1.3126838787, -1.3126838787],
+    (2, 5, 3): [-6.4854157477, -6.4854157477, -6.3379733047, -6.3379733047, -4.6092284551,
+                -4.6092284551, -4.0, -4.0, -2.7399852367, -2.7399852367, -2.6130244642,
+                -2.6130244642, -1.7143727915, -1.7143727915],
+}
+
+
+def test_criterion6_grid_is_pinned():
+    opts = SolverOptions(tol_eigen=np.inf, tol_hw=np.inf)
+    hams = {}
+    for (two_s, length, m), expected in CRITERION6_GRID.items():
+        ham = hams.setdefault((two_s, length), ChainHamiltonian(Spin(two_s), length))
+        certs = solve_sector(Spin(two_s), length, m, opts, hamiltonian=ham)
+        energies = sorted(c.energy.real for c in certs)
+        assert len(energies) == len(expected), (two_s, length, m)
+        assert np.allclose(energies, expected, rtol=0.0, atol=1e-9), (two_s, length, m)
 
 
 def test_certified_roots_permutation_invariance():
