@@ -20,12 +20,14 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert
-from .errors import DegenerateRootsError, PoleError, SingularScatteringError
+from .errors import DegenerateRootsError, InputRangeError, PoleError, SingularScatteringError
 from .su2 import Spin
 
 POLE_TOL = 1e-10
 U_DEGENERACY_TOL = 1e-9
 SIGMA_DENOM_TOL = 1e-13
+# bound on the (permutations x basis states) work array of one Bethe-vector block
+BLOCK_ENTRIES = 1 << 20
 
 
 def u_from_lambda(lam, spin: Spin):
@@ -182,19 +184,54 @@ class BetheState:
         return out
 
 
+def _plane_wave_sum(basis: hilbert.SectorBasis, u: np.ndarray, spin: Spin) -> tuple:
+    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every basis state, and sum_P |A_P|.
+
+    The sum runs over blocks of permutations, each block's (permutations x
+    states) work array holding at most about BLOCK_ENTRIES entries.
+    """
+    m, length, n = basis.m, basis.length, len(basis)
+    # coordinates x_1 <= ... <= x_m of every basis state, one row each
+    coords = np.repeat(np.tile(np.arange(1, length + 1), n), basis.occupations.ravel())
+    coords = coords.reshape(n, m)
+    # u_j^x for x = 0..L, reused across the whole sector
+    upow = np.ones((m, length + 1), dtype=complex)
+    upow[:, 1:] = np.cumprod(np.broadcast_to(u[:, None], (m, length)), axis=1)
+    # factor (j, k) of the closed-form amplitude for the ordered pair (u_j, u_k)
+    diff = u[:, None] - u[None, :]
+    np.fill_diagonal(diff, 1.0)
+    factor = 1.0 - np.outer(u - 1.0, u - 1.0) / (spin.two_s * diff)
+    first, second = np.triu_indices(m, 1)
+
+    perms = np.array(permutations_of(m), dtype=np.intp)
+    block = max(1, BLOCK_ENTRIES // n)
+    vec = np.zeros(n, dtype=complex)
+    amp_sum = 0.0
+    for start in range(0, len(perms), block):
+        pb = perms[start:start + block]
+        amps = np.prod(factor[pb[:, first], pb[:, second]], axis=1)
+        # row P_t of the (m, n) table u_p^{x_t}: a row gather, not a scatter
+        terms = upow[:, coords[:, 0]][pb[:, 0]]
+        for t in range(1, m):
+            terms *= upow[:, coords[:, t]][pb[:, t]]
+        vec += amps @ terms
+        amp_sum += float(np.sum(np.abs(amps)))
+    return vec, amp_sum
+
+
 def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
     """Assemble Psi_m = sum_{x1<=...<=xm} a(x) |x1,...,xm> on the m sector."""
     if (k is None) == (lam is None):
         raise ValueError("provide exactly one of k or lam")
     if lam is not None:
         lam = tuple(complex(z) for z in np.atleast_1d(np.asarray(lam, dtype=complex)))
-        k = tuple(np.atleast_1d(lambda_to_k(np.asarray(lam), spin)))
+        k = tuple(np.atleast_1d(lambda_to_k(np.asarray(lam), spin))) if lam else ()
     else:
         k = tuple(complex(z) for z in np.atleast_1d(np.asarray(k, dtype=complex)))
         lam = tuple(np.atleast_1d(k_to_lambda(np.asarray(k), spin))) if k else ()
     m = len(k)
     if m > spin.two_s * length:
-        raise ValueError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
+        raise InputRangeError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
     basis = hilbert.sector_basis(spin, length, m)
     if m == 0:
         vec = np.ones(1, dtype=complex)
@@ -202,30 +239,12 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
 
     u = np.exp(1j * np.asarray(k, dtype=complex))
     _check_momenta(u)
-    perms = permutations_of(m)
-    amps = [_amplitude_from_u(p, u, spin) for p in perms]
-    # u_j^x for x = 0..L, reused across the whole sector
-    upow = np.empty((m, length + 1), dtype=complex)
-    upow[:, 0] = 1.0
-    for x in range(1, length + 1):
-        upow[:, x] = upow[:, x - 1] * u
-
-    vec = np.zeros(len(basis), dtype=complex)
-    for i, occ in enumerate(basis.states):
-        coords = hilbert.coordinates_of(occ)
-        a_val = 0.0 + 0.0j
-        for p, amp in zip(perms, amps):
-            term = amp
-            for t, xt in enumerate(coords):
-                term *= upow[p[t], xt]
-            a_val += term
-        alpha = 1.0
-        for mj in occ:
-            alpha *= math.sqrt(math.comb(spin.two_s, mj))
-        vec[i] = a_val * alpha
+    vec, amp_sum = _plane_wave_sum(basis, u, spin)
+    alpha = np.sqrt([math.comb(spin.two_s, j) for j in range(spin.dim)])
+    vec *= np.prod(alpha[basis.occupations], axis=1)
 
     norm = float(np.linalg.norm(vec))
-    scale = sum(abs(a) for a in amps) * np.sqrt(len(basis))
+    scale = amp_sum * np.sqrt(len(basis))
     if norm <= 1e-10 * max(scale, 1.0):
         raise DegenerateRootsError("Bethe state has vanishing norm for this root set")
     return BetheState(spin, length, k, lam, basis, vec, energy_k(k, spin), norm)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import verify
+from . import hilbert, verify
 from .bethe import build_bethe_state
 from .errors import ChainError, InputRangeError, ResourceCapError
 from .hamiltonian import ChainHamiltonian, build_beta_table, local_h
@@ -50,7 +50,12 @@ def _cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("BETHE_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise InputRangeError(f"BETHE_CAP must be an integer, got {env!r}") from None
 
 
 def _solver_options(args) -> SolverOptions:
@@ -130,6 +135,7 @@ def cmd_solve(args, parser):
     spin = _spin(args, parser)
     if args.sector is None:
         parser.error("solve requires -m/--sector")
+    hilbert.check_sector(spin, args.length, args.sector)
     opts = _solver_options(args)
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     certs = solve_sector(spin, args.length, args.sector, opts, ham)
@@ -242,6 +248,13 @@ def cmd_verify(args, parser):
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _add_common(sub, length_default=None, need_length=True):
     sub.add_argument("--spin", required=True, help="spin as rational in halves, e.g. 1/2, 1, 3/2")
     if need_length:
@@ -252,7 +265,7 @@ def _add_common(sub, length_default=None, need_length=True):
     sub.add_argument("--tol-newton", dest="tol_newton", type=float, default=None)
     sub.add_argument("--tol-eigen", dest="tol_eigen", type=float, default=None)
     sub.add_argument("--tol-match", dest="tol_match", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_seed, default=None)
     sub.add_argument("--cap", type=int, default=None)
 
 
@@ -300,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--only", default=None, help="substring filter on check names")
     sub.add_argument("--inject-fault", default=None, help="append a failing check (test hook)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_seed, default=None)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("aba-compare", help="overlap of the monodromy one-magnon state with Psi_1")
@@ -320,7 +333,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ChainError, ValueError) as exc:
+    except ChainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ResourceCapError, WindowError
+from .errors import InputRangeError, ResourceCapError, WindowError
 from .su2 import DEFAULT_CAP, DENSE_THRESHOLD, Spin, apply_bond_matrix
 from . import hilbert
 
@@ -67,8 +67,9 @@ class BetaTable:
     """All window entries beta^n_{m1,m2} for one spin, built once and reused.
 
     `entries` maps (m1, m2, n) -> value over the full window (zeros included);
-    `by_pair` maps (m1, m2) -> tuple of (n, value) with exact zeros dropped,
-    which is the form consumed by Hamiltonian application.
+    `hop_shifts[m1, m2]` and `hop_values[m1, m2]` list the hops n with
+    nonzero value, padded with zero values to a common length, which is the
+    form consumed by sector-matrix assembly.
     """
 
     def __init__(self, spin: Spin):
@@ -84,8 +85,18 @@ class BetaTable:
                     self.entries[(m1, m2, n)] = value
                     if value != 0.0:
                         hops.append((n, value))
-                by_pair[(m1, m2)] = tuple(hops)
-        self.by_pair = by_pair
+                by_pair[(m1, m2)] = hops
+        d = spin.dim
+        width = max(len(hops) for hops in by_pair.values())
+        self.hop_shifts = np.zeros((d, d, width), dtype=np.int64)
+        self.hop_values = np.zeros((d, d, width))
+        for (m1, m2), hops in by_pair.items():
+            for slot, (n, value) in enumerate(hops):
+                self.hop_shifts[m1, m2, slot] = n
+                self.hop_values[m1, m2, slot] = value
+        # read-only: the table is shared by every chain of this spin
+        self.hop_shifts.flags.writeable = False
+        self.hop_values.flags.writeable = False
 
     def __len__(self):
         return len(self.entries)
@@ -163,7 +174,7 @@ class ChainHamiltonian:
     def __init__(self, spin: Spin, length: int, cap: int = DEFAULT_CAP,
                  dense_threshold: int = DENSE_THRESHOLD):
         if length < 2:
-            raise ValueError(f"chain length must be >= 2, got {length}")
+            raise InputRangeError(f"chain length must be >= 2, got {length}")
         dim = spin.dim**length
         if dim > cap:
             raise ResourceCapError(f"dimension {dim} exceeds cap {cap}")
@@ -200,17 +211,20 @@ class ChainHamiltonian:
         if m in self._sector_cache:
             return self._sector_cache[m]
         basis = hilbert.sector_basis(self.spin, self.length, m)
+        occ, full = basis.occupations, basis.full_indices
         rows, cols, vals = [], [], []
-        for col, occ in enumerate(basis.states):
-            for j, k in self.bonds():
-                for n, v in self.table.by_pair[(occ[j], occ[k])]:
-                    new = list(occ)
-                    new[j] += n
-                    new[k] -= n
-                    rows.append(basis.index_of(tuple(new)))
-                    cols.append(col)
-                    vals.append(v)
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(basis), len(basis)))
+        for j, k in self.bonds():
+            # hop n moves the occupations (a, b) at (j, k) to (a + n, b - n)
+            shifts = self.table.hop_shifts[occ[:, j], occ[:, k]]
+            values = self.table.hop_values[occ[:, j], occ[:, k]]
+            col, slot = np.nonzero(values)
+            target = full[col] + shifts[col, slot] * (basis.weights[j] - basis.weights[k])
+            rows.append(np.searchsorted(full, target))
+            cols.append(col)
+            vals.append(values[col, slot])
+        mat = hilbert.freeze(sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(len(basis), len(basis))))
         self._sector_cache[m] = mat
         return mat
 

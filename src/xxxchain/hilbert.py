@@ -10,7 +10,7 @@ extra alpha-normalization sqrt(C(2s, m_j)) per site.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,31 +18,53 @@ import scipy.sparse as sp
 from .errors import InputRangeError
 from .su2 import Spin
 
+INT64_MAX = np.iinfo(np.int64).max
+
 
 class SectorBasis:
-    """Ordered occupation basis of the total-lowering-m sector."""
+    """Ordered occupation basis of the total-lowering-m sector.
 
-    def __init__(self, spin: Spin, length: int, m: int, states: tuple):
+    `occupations` is the read-only (n, L) array of occupation tuples and
+    `full_indices` their first-site-major indices in the full (2s+1)^L space,
+    the dot products with `weights` = ((2s+1)^(L-1), ..., 1).  Lexicographic
+    order of the tuples is ascending order of those indices, so `full_indices`
+    is strictly ascending and lookups are binary searches.
+    """
+
+    def __init__(self, spin: Spin, length: int, m: int, occupations: np.ndarray):
         self.spin = spin
         self.length = length
         self.m = m
-        self.states = states
-        base = spin.dim
-        self._index = {self._key(occ, base): i for i, occ in enumerate(states)}
-
-    @staticmethod
-    def _key(occ, base):
-        # little-endian digits in base 2s+1: O(1) lookup during H application
-        key = 0
-        for j, digit in enumerate(occ):
-            key += digit * base**j
-        return key
+        self.weights = spin.dim ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        self.occupations = occupations
+        self.full_indices = occupations @ self.weights
+        for arr in (self.weights, self.occupations, self.full_indices):
+            arr.flags.writeable = False
 
     def __len__(self):
-        return len(self.states)
+        return len(self.full_indices)
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(map(tuple, self.occupations.tolist()))
+
+    def indices_of(self, occ) -> np.ndarray:
+        """Basis positions of the rows of an (k, L) occupation array; raises
+        KeyError if any row lies outside the sector."""
+        occ = np.atleast_2d(np.asarray(occ, dtype=np.int64))
+        if occ.shape[1] != self.length:
+            raise KeyError(f"occupations of length {occ.shape[1]}, chain has {self.length}")
+        idx = occ @ self.weights
+        pos = np.minimum(np.searchsorted(self.full_indices, idx), len(self) - 1)
+        # out-of-range digits can alias the index of another state
+        in_range = np.all((occ >= 0) & (occ <= self.spin.two_s), axis=1)
+        found = in_range & (self.full_indices[pos] == idx)
+        if not np.all(found):
+            raise KeyError(tuple(occ[np.argmin(found)].tolist()))
+        return pos
 
     def index_of(self, occ) -> int:
-        return self._index[self._key(occ, self.spin.dim)]
+        return int(self.indices_of(occ)[0])
 
     def to_json(self):
         return {
@@ -54,22 +76,29 @@ class SectorBasis:
         }
 
 
-def _compositions(length: int, total: int, maxdigit: int):
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(max(0, total - (length - 1) * maxdigit), min(maxdigit, total) + 1):
-        for rest in _compositions(length - 1, total - first, maxdigit):
-            yield (first,) + rest
+def check_sector(spin: Spin, length: int, m: int):
+    """Raise InputRangeError unless m is a sector of the (spin, length) chain."""
+    if not (0 <= m <= spin.two_s * length):
+        raise InputRangeError(f"sector m={m} outside 0..{spin.two_s * length}")
 
 
 @lru_cache(maxsize=None)
 def sector_basis(spin: Spin, length: int, m: int) -> SectorBasis:
-    if not (0 <= m <= spin.two_s * length):
-        raise InputRangeError(f"sector m={m} outside 0..{spin.two_s * length}")
-    states = tuple(_compositions(length, m, spin.two_s))
-    return SectorBasis(spin, length, m, states)
+    check_sector(spin, length, m)
+    if spin.dim**length > INT64_MAX:
+        raise InputRangeError(
+            f"full space (2s+1)^L = {spin.dim}^{length} overflows 64-bit state indices")
+    # grow the lexicographic prefixes site by site, keeping those whose
+    # remaining sites can still complete the total m
+    digits = np.arange(spin.dim, dtype=np.int64)
+    occ = np.zeros((1, 0), dtype=np.int64)
+    total = np.zeros(1, dtype=np.int64)
+    for rest in range(length - 1, -1, -1):
+        grown = total[:, None] + digits
+        rows, cols = np.nonzero((grown <= m) & (grown >= m - spin.two_s * rest))
+        occ = np.column_stack((occ[rows], cols))
+        total = grown[rows, cols]
+    return SectorBasis(spin, length, m, occ)
 
 
 def sector_dimension(spin: Spin, length: int, m: int) -> int:
@@ -87,8 +116,7 @@ def full_index(occ, dim: int) -> int:
 def embed_sector_vector(basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
     """Lift a sector vector to the full (2s+1)^L space."""
     out = np.zeros(basis.spin.dim**basis.length, dtype=complex)
-    for i, occ in enumerate(basis.states):
-        out[full_index(occ, basis.spin.dim)] = vec[i]
+    out[basis.full_indices] = vec
     return out
 
 
@@ -126,36 +154,38 @@ def coords_to_vector(spin: Spin, length: int, x) -> np.ndarray:
     return out
 
 
+def freeze(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """Make a cached sparse matrix's arrays read-only; products still work."""
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=None)
+def _ladder_block(spin: Spin, length: int, m: int, step: int) -> sp.csr_matrix:
+    """S^- (step +1) or S^+ (step -1) block from sector m to sector m + step.
+
+    Cached and shared between callers, so its arrays are read-only.
+    """
+    src = sector_basis(spin, length, m)
+    dst = sector_basis(spin, length, m + step)
+    new = src.occupations + step
+    cols, sites = np.nonzero((new >= 0) & (new <= spin.two_s))
+    # both ladders move between lowering counts low and low + 1 at a site
+    low = np.minimum(src.occupations[cols, sites], new[cols, sites])
+    vals = np.sqrt((spin.two_s - low) * (low + 1.0))
+    rows = np.searchsorted(dst.full_indices, src.full_indices[cols] + step * src.weights[sites])
+    return freeze(sp.csr_matrix((vals, (rows, cols)), shape=(len(dst), len(src))))
+
+
 def sector_s_minus(spin: Spin, length: int, m: int) -> sp.csr_matrix:
     """S^- block mapping the m sector to the (m+1) sector."""
-    src = sector_basis(spin, length, m)
-    dst = sector_basis(spin, length, m + 1)
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(src.states):
-        for j, mj in enumerate(occ):
-            if mj < spin.two_s:
-                new = list(occ)
-                new[j] += 1
-                rows.append(dst.index_of(tuple(new)))
-                cols.append(col)
-                vals.append(math.sqrt((spin.two_s - mj) * (mj + 1)))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(dst), len(src)))
+    return _ladder_block(spin, length, m, 1)
 
 
 def sector_s_plus(spin: Spin, length: int, m: int) -> sp.csr_matrix:
     """S^+ block mapping the m sector to the (m-1) sector."""
-    src = sector_basis(spin, length, m)
-    dst = sector_basis(spin, length, m - 1)
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(src.states):
-        for j, mj in enumerate(occ):
-            if mj >= 1:
-                new = list(occ)
-                new[j] -= 1
-                rows.append(dst.index_of(tuple(new)))
-                cols.append(col)
-                vals.append(math.sqrt(mj * (spin.two_s - mj + 1)))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(dst), len(src)))
+    return _ladder_block(spin, length, m, -1)
 
 
 def apply_chain_h_in_sector(hamiltonian, basis: SectorBasis, vec: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import InputRangeError, ResourceCapError
 
 DEFAULT_CAP = 1 << 20
 DENSE_THRESHOLD = 4096
@@ -145,7 +145,7 @@ class SiteSumOperator:
 def global_generator(spin: Spin, length: int, alpha: str, cap: int = DEFAULT_CAP) -> SiteSumOperator:
     """Global su(2) generator S^alpha = sum_j s^alpha_j, alpha in {'z', '+', '-'}."""
     if length < 2:
-        raise ValueError(f"chain length must be >= 2, got {length}")
+        raise InputRangeError(f"chain length must be >= 2, got {length}")
     if spin.dim**length > cap:
         raise ResourceCapError(f"dimension {spin.dim**length} exceeds cap {cap}")
     local = {"z": s_z, "+": s_plus, "-": s_minus}

@@ -1,7 +1,8 @@
 """Self-contained invariant suite behind the `verify` command.
 
 Each check returns (name, passed, detail) with the measured worst violation,
-so a failure names the broken invariant directly.
+so a failure names the broken invariant directly.  Every check takes a `seed`
+for its random samples; deterministic checks ignore it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _check(name, worst, tol):
     return (name, bool(worst < tol), f"max violation {float(worst):.3e} (tol {tol:.0e})")
 
 
-def su2_local_relations():
+def su2_local_relations(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS + (Spin(5),):
         sm, sp, sz = s_minus(spin), s_plus(spin), s_z(spin)
@@ -38,7 +39,7 @@ def su2_local_relations():
     return _check("su2-local-commutators", worst, 1e-13)
 
 
-def su2_casimir():
+def su2_casimir(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS:
         sm, sp, sz = s_minus(spin), s_plus(spin), s_z(spin)
@@ -47,7 +48,7 @@ def su2_casimir():
     return _check("su2-casimir", worst, 1e-13)
 
 
-def su2_e_minus():
+def su2_e_minus(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS:
         g = g_matrix(spin)
@@ -70,7 +71,7 @@ def su2_global(seed=0):
     return _check("su2-global-commutators", worst, 1e-12)
 
 
-def beta_symmetry():
+def beta_symmetry(seed=0):
     from .hamiltonian import build_beta_table
 
     worst = 0.0
@@ -81,12 +82,12 @@ def beta_symmetry():
     return _check("beta-symmetry", worst, 1e-15)
 
 
-def beta_recursions():
+def beta_recursions(seed=0):
     worst = max(check_beta_recursions(spin) for spin in LOCAL_SPINS + (Spin(5),))
     return _check("beta-recursions", worst, 1e-13)
 
 
-def local_h_symmetric():
+def local_h_symmetric(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS + (Spin(5),):
         h = local_h(spin)
@@ -94,7 +95,7 @@ def local_h_symmetric():
     return _check("local-h-symmetric", worst, 1e-13)
 
 
-def local_h_commutators():
+def local_h_commutators(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS + (Spin(5),):
         h = local_h(spin)
@@ -105,7 +106,7 @@ def local_h_commutators():
     return _check("local-h-commutators", worst, 1e-12)
 
 
-def vacuum_annihilated():
+def vacuum_annihilated(seed=0):
     worst = 0.0
     for spin, length in ((Spin(1), 6), (Spin(2), 4), (Spin(3), 3), (Spin(4), 2)):
         ham = ChainHamiltonian(spin, length)
@@ -124,7 +125,7 @@ def sector_vs_full(seed=0):
         vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
         inside = hilbert.apply_chain_h_in_sector(ham, basis, vec)
         full = ham.apply(hilbert.embed_sector_vector(basis, vec))
-        back = np.array([full[hilbert.full_index(occ, spin.dim)] for occ in basis.states])
+        back = full[basis.full_indices]
         worst = max(worst, np.max(np.abs(inside - back)))
         leak = np.linalg.norm(full) ** 2 - np.linalg.norm(back) ** 2
         worst = max(worst, abs(leak))
@@ -186,7 +187,7 @@ def energy_forms(seed=0, samples=200):
     return _check("energy-form-equality", worst, 1e-12)
 
 
-def dispersion():
+def dispersion(seed=0):
     from .hamiltonian import beta
 
     worst = 0.0
@@ -242,7 +243,7 @@ def coinciding_constraint(seed=0, samples=30):
     return _check("coinciding-coordinate-constraint", worst, 1e-11)
 
 
-def product_identity():
+def product_identity(seed=0):
     worst = 0.0
     for spin in (Spin(2), Spin(3)):
         for m in (2, 3):
@@ -265,7 +266,7 @@ def product_identity():
     return _check("shift-eigenvalue-product-identity", worst, 1e-11)
 
 
-def pipeline_reconcile():
+def pipeline_reconcile(seed=0):
     from .verify import reconcile_spectrum
 
     report = reconcile_spectrum(Spin(1), 4, 2)
@@ -318,7 +319,7 @@ def chain_checks_at(spin: Spin, length: int, seed: int = 0) -> list:
         sub = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
         inside = hilbert.apply_chain_h_in_sector(ham, basis, sub)
         full = ham.apply(hilbert.embed_sector_vector(basis, sub))
-        back = np.array([full[hilbert.full_index(occ, spin.dim)] for occ in basis.states])
+        back = full[basis.full_indices]
         worst = max(worst, np.max(np.abs(inside - back)))
     results.append(_check(f"sector-apply-matches-full[s={spin},L={length}]", worst, 1e-12))
     return results
@@ -330,10 +331,7 @@ def run_all(seed: int = 0, chain=None) -> list:
     results = []
     for fn in ALL_CHECKS:
         try:
-            if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-                results.append(fn(seed=seed))
-            else:
-                results.append(fn())
+            results.append(fn(seed=seed))
         except Exception as exc:  # a crash is a failure, not an abort
             results.append((fn.__name__, False, f"raised {type(exc).__name__}: {exc}"))
     if chain is not None:

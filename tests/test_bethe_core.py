@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,12 @@ from hypothesis import strategies as st
 
 from oracles import amplitude_by_recursion, plane_wave_sum, reduced_word
 from xxxchain import bethe, hilbert
-from xxxchain.errors import DegenerateRootsError, PoleError, SingularScatteringError
+from xxxchain.errors import (
+    DegenerateRootsError,
+    InputRangeError,
+    PoleError,
+    SingularScatteringError,
+)
 from xxxchain.hamiltonian import ChainHamiltonian
 from xxxchain.su2 import Spin
 
@@ -242,6 +249,40 @@ def test_build_state_matches_coordinate_sum():
     assert np.max(np.abs(state.vector - direct)) < 1e-12
 
 
+def _coordinate_amplitudes(state, k, rows):
+    """amplitude_a(x, k) * prod_j sqrt(C(2s, m_j)) at the given basis rows."""
+    two_s = state.spin.two_s
+    out = []
+    for i in rows:
+        occ = state.basis.states[i]
+        alpha = math.prod(math.sqrt(math.comb(two_s, mj)) for mj in occ)
+        out.append(bethe.amplitude_a(hilbert.coordinates_of(occ), k, state.spin) * alpha)
+    return np.array(out)
+
+
+def test_build_state_equals_coordinate_amplitudes():
+    rng = np.random.default_rng(11)
+    for spin, length in ((Spin(1), 6), (Spin(2), 4), (Spin(3), 3)):
+        for m in range(1, 6):
+            k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+            state = bethe.build_bethe_state(spin, length, k=k)
+            rows = range(len(state.basis))
+            expected = _coordinate_amplitudes(state, k, rows)
+            assert np.max(np.abs(state.vector - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_build_state_blocks_permutations():
+    spin, length, m = Spin(1), 14, 7
+    rng = np.random.default_rng(12)
+    k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+    state = bethe.build_bethe_state(spin, length, k=k)
+    # the permutation sum does not fit one block, so it is split
+    assert math.factorial(m) * len(state.basis) > bethe.BLOCK_ENTRIES
+    rows = rng.choice(len(state.basis), size=25, replace=False)
+    expected = _coordinate_amplitudes(state, k, rows)
+    assert np.max(np.abs(state.vector[rows] - expected)) < 1e-12 * np.max(np.abs(state.vector))
+
+
 def test_build_state_sz_eigenvalue():
     from xxxchain.su2 import global_generator
 
@@ -256,6 +297,7 @@ def test_build_state_sz_eigenvalue():
 
 
 def test_build_state_m0_is_vacuum():
+    assert bethe.build_bethe_state(Spin(1), 4, lam=()).m == 0
     state = bethe.build_bethe_state(Spin(1), 4, k=())
     assert state.m == 0
     assert state.energy == 0
@@ -268,7 +310,7 @@ def test_build_state_rejects_pole_rapidities():
 
 
 def test_build_state_rejects_m_beyond_capacity():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputRangeError):
         bethe.build_bethe_state(Spin(1), 2, k=[0.3, 0.9, 1.2])
     with pytest.raises(ValueError):
         bethe.build_bethe_state(Spin(1), 2)

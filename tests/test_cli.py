@@ -7,6 +7,9 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+import pytest
+
+from xxxchain import cli
 from xxxchain.cli import main
 
 
@@ -178,6 +181,44 @@ def test_short_chain_is_usage_error():
     code, _, err = run_cli("ed", "--spin", "1/2", "-L", "1")
     assert code == 2
     assert "length" in err
+
+
+def test_state_with_too_many_roots_is_usage_error():
+    code, out, err = run_cli("state", "--spin", "1/2", "-L", "2", "--lambda", "0.1,0.2,0.3")
+    assert code == 2
+    assert not out and "m=3 exceeds" in err
+
+
+def test_state_with_no_roots_is_the_vacuum():
+    for flag in ("--lambda", "--k"):
+        code, out, _ = run_cli("state", "--spin", "1/2", "-L", "4", flag, "")
+        assert code == 0
+        assert json.loads(out)["energy"] == [0.0, 0.0]
+
+
+def test_solve_overfilled_sector_is_usage_error():
+    code, out, err = run_cli("solve", "--spin", "1/2", "-L", "4", "-m", "9")
+    assert code == 2
+    assert not out and "sector m=9 outside 0..4" in err
+    code, _, ed_err = run_cli("ed", "--spin", "1/2", "-L", "4", "-m", "9")
+    assert code == 2 and ed_err == err
+
+
+def test_bad_seed_and_cap_are_usage_errors(monkeypatch):
+    code, out, _ = run_cli("solve", "--spin", "1/2", "-L", "4", "-m", "1", "--seed", "-1")
+    assert code == 2 and not out
+    code, out, err = run_cli("chain-h", "--spin", "1/2", "-L", "2",
+                             env={"BETHE_CAP": "lots"}, monkeypatch=monkeypatch)
+    assert code == 2 and not out and "BETHE_CAP" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(args, parser):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "cmd_beta", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["beta", "--spin", "1/2"])
 
 
 def test_negative_sector_is_usage_error():

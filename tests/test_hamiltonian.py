@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxxchain.errors import ResourceCapError, WindowError
+from xxxchain.errors import InputRangeError, ResourceCapError, WindowError
 from xxxchain.hamiltonian import (
     ChainHamiltonian,
     beta,
@@ -140,7 +140,7 @@ def test_chain_cap():
         ChainHamiltonian(Spin(1), 12, cap=1024)
     with pytest.raises(ResourceCapError):
         ChainHamiltonian(Spin(1), 20).dense()
-    with pytest.raises(ValueError):
+    with pytest.raises(InputRangeError):
         ChainHamiltonian(Spin(1), 1)
 
 

@@ -1,11 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kron_chain_hamiltonian, kron_site_operator
 from xxxchain import hilbert
+from xxxchain.errors import InputRangeError
 from xxxchain.hamiltonian import ChainHamiltonian
-from xxxchain.su2 import Spin
+from xxxchain.su2 import Spin, s_minus, s_plus
+
+ORACLE_CHAINS = ((Spin(1), 6), (Spin(2), 4), (Spin(3), 3))
 
 
 def poly_coefficient(two_s, length, m):
@@ -54,6 +60,52 @@ def test_index_of_roundtrip():
     basis = hilbert.sector_basis(Spin(2), 4, 3)
     for i, occ in enumerate(basis.states):
         assert basis.index_of(occ) == i
+
+
+def test_index_of_rejects_off_sector_occupations():
+    spin, length, m = Spin(1), 4, 2
+    basis = hilbert.sector_basis(spin, length, m)
+    # digits one outside 0..2s on either side, including tuples whose index
+    # would alias an in-sector state
+    for occ in itertools.product(range(-1, spin.two_s + 2), repeat=length):
+        if occ in basis.states:
+            continue
+        with pytest.raises(KeyError):
+            basis.index_of(occ)
+    with pytest.raises(KeyError):
+        basis.index_of((1, 1, 0))
+    with pytest.raises(KeyError):
+        basis.indices_of([(1, 1, 0, 0), (0, 0, 1, 2)])
+
+
+def test_indices_of_matches_index_of():
+    basis = hilbert.sector_basis(Spin(3), 4, 5)
+    rows = basis.occupations[::-3]
+    assert list(basis.indices_of(rows)) == [basis.index_of(tuple(r)) for r in rows]
+
+
+def test_full_indices_ascending_and_first_site_major():
+    for spin, length in ORACLE_CHAINS:
+        seen = []
+        for m in range(spin.two_s * length + 1):
+            basis = hilbert.sector_basis(spin, length, m)
+            assert np.all(np.diff(basis.full_indices) > 0)
+            assert list(basis.full_indices) == [hilbert.full_index(occ, spin.dim)
+                                                for occ in basis.states]
+            seen.extend(basis.full_indices)
+        assert sorted(seen) == list(range(spin.dim**length))
+
+
+def test_full_index_int64_boundary():
+    # 2^62 and 3^39 fit in int64, 2^63 and 3^40 do not
+    basis = hilbert.sector_basis(Spin(1), 62, 1)
+    assert basis.full_indices[-1] == 2**61
+    assert basis.index_of((1,) + (0,) * 61) == len(basis) - 1
+    hilbert.sector_basis(Spin(2), 39, 1)
+    with pytest.raises(InputRangeError):
+        hilbert.sector_basis(Spin(1), 63, 1)
+    with pytest.raises(InputRangeError):
+        hilbert.sector_basis(Spin(2), 40, 0)
 
 
 def test_full_index_first_site_major():
@@ -155,6 +207,47 @@ def test_sector_ladder_blocks_are_adjoint():
         down = hilbert.sector_s_minus(spin, length, m).toarray()
         up = hilbert.sector_s_plus(spin, length, m + 1).toarray()
         assert np.max(np.abs(down - up.T)) < 1e-14
+
+
+def _restricted(full: np.ndarray, rows, cols) -> np.ndarray:
+    return full[np.ix_(rows.full_indices, cols.full_indices)]
+
+
+def test_sector_blocks_match_kronecker_oracles():
+    for spin, length in ORACLE_CHAINS:
+        ham = ChainHamiltonian(spin, length)
+        dense = kron_chain_hamiltonian(spin, length)
+        lowering = sum(kron_site_operator(s_minus(spin), length, j, spin.dim)
+                       for j in range(length))
+        raising = sum(kron_site_operator(s_plus(spin), length, j, spin.dim)
+                      for j in range(length))
+        top = spin.two_s * length
+        for m in range(top + 1):
+            basis = hilbert.sector_basis(spin, length, m)
+            block = ham.sector_matrix(m).toarray()
+            assert np.max(np.abs(block - _restricted(dense, basis, basis))) < 1e-13
+            if m < top:
+                below = hilbert.sector_basis(spin, length, m + 1)
+                down = hilbert.sector_s_minus(spin, length, m).toarray()
+                assert np.max(np.abs(down - _restricted(lowering, below, basis))) < 1e-14
+            if m > 0:
+                above = hilbert.sector_basis(spin, length, m - 1)
+                up = hilbert.sector_s_plus(spin, length, m).toarray()
+                assert np.max(np.abs(up - _restricted(raising, above, basis))) < 1e-14
+
+
+def test_cached_blocks_are_read_only():
+    spin, length = Spin(2), 3
+    up = hilbert.sector_s_plus(spin, length, 2)
+    assert up is hilbert.sector_s_plus(spin, length, 2)
+    block = ChainHamiltonian(spin, length).sector_matrix(2)
+    basis = hilbert.sector_basis(spin, length, 2)
+    for arr in (up.data, up.indices, up.indptr, block.data, basis.occupations,
+                basis.full_indices):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    vec = np.ones(len(basis))
+    assert np.allclose(up @ vec, up.toarray() @ vec)
 
 
 def test_sector_json():

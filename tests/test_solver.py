@@ -249,6 +249,27 @@ def test_criterion6_grid_is_pinned():
         assert np.allclose(energies, expected, rtol=0.0, atol=1e-9), (two_s, length, m)
 
 
+# free-momenta certificates of solve_sector(1/2, L=10, m): count and sorted
+# energies, recorded before Bethe vectors were assembled from arrays
+FREE_MOMENTA_L10 = {
+    4: [-13.184414693477, -12.086558748625, -12.086558748625, -11.492329833465,
+        -11.492329833465, -10.782472200701, -10.782472200701, -10.560980200815,
+        -10.560980200815, -9.877630641032, -9.057826964008, -9.057826964008,
+        -8.92170271321, -8.92170271321, -7.904307515428],
+    5: [-14.030892708984],
+}
+
+
+def test_free_momenta_l10_is_pinned():
+    opts = SolverOptions(strategies=("free-momenta",))
+    ham = ChainHamiltonian(Spin(1), 10)
+    for m, expected in FREE_MOMENTA_L10.items():
+        certs = solve_sector(Spin(1), 10, m, opts, hamiltonian=ham)
+        energies = sorted(c.energy.real for c in certs)
+        assert len(energies) == len(expected), m
+        assert np.allclose(energies, expected, rtol=0.0, atol=1e-9), m
+
+
 def test_certified_roots_permutation_invariance():
     spin, length, m = Spin(2), 4, 2
     certs = solve_sector(spin, length, m)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxxchain.errors import ResourceCapError
+from xxxchain.errors import InputRangeError, ResourceCapError
 from xxxchain.su2 import (
     Spin,
     e_minus,
@@ -146,7 +146,7 @@ def test_global_dense_matches_apply():
 def test_global_generator_cap():
     with pytest.raises(ResourceCapError):
         global_generator(Spin(1), 4, "z", cap=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputRangeError):
         global_generator(Spin(1), 1, "z")
     with pytest.raises(ValueError):
         global_generator(Spin(1), 3, "x")
