@@ -93,13 +93,12 @@ def _check_momenta(u: np.ndarray):
                 raise DegenerateRootsError(f"coinciding momenta at indices {a}, {b}")
 
 
-def _amplitude_from_u(perm, u: np.ndarray, spin: Spin) -> complex:
-    out = 1.0 + 0.0j
-    for j in range(len(perm)):
-        for k in range(j + 1, len(perm)):
-            a, b = u[perm[j]], u[perm[k]]
-            out *= 1.0 - (a - 1.0) * (b - 1.0) / (spin.two_s * (a - b))
-    return out
+def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
+    """Factor (j, k) of the closed-form amplitude for the ordered pair
+    (u_j, u_k); A_P is the product of factor[P_j, P_k] over j < k."""
+    diff = u[:, None] - u[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return 1.0 - np.outer(u - 1.0, u - 1.0) / (spin.two_s * diff)
 
 
 def amplitude_AP(perm, k, spin: Spin) -> complex:
@@ -108,7 +107,9 @@ def amplitude_AP(perm, k, spin: Spin) -> complex:
     if sorted(perm) != list(range(len(u))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(u) - 1}")
     _check_momenta(u)
-    return _amplitude_from_u(tuple(perm), u, spin)
+    perm = np.asarray(perm, dtype=np.intp)
+    first, second = np.triu_indices(len(u), 1)
+    return complex(np.prod(_pair_factors(u, spin)[perm[first], perm[second]]))
 
 
 def amplitude_a(x, k, spin: Spin) -> complex:
@@ -120,13 +121,7 @@ def amplitude_a(x, k, spin: Spin) -> complex:
     if len(x) != len(u):
         raise ValueError("coordinate tuple and momentum list have different lengths")
     _check_momenta(u)
-    total = 0.0 + 0.0j
-    for perm in permutations_of(len(u)):
-        term = _amplitude_from_u(perm, u, spin)
-        for t, xt in enumerate(x):
-            term *= u[perm[t]] ** xt
-        total += term
-    return total
+    return complex(_plane_wave_sum(np.array([x], dtype=np.intp), u, spin)[0][0])
 
 
 def energy_k(k, spin: Spin) -> complex:
@@ -184,23 +179,24 @@ class BetheState:
         return out
 
 
-def _plane_wave_sum(basis: hilbert.SectorBasis, u: np.ndarray, spin: Spin) -> tuple:
-    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every basis state, and sum_P |A_P|.
+def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
+    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every row x of the (n, m)
+    integer array `coords`, and sum_P |A_P|.
 
-    The sum runs over blocks of permutations, each block's (permutations x
-    states) work array holding at most about BLOCK_ENTRIES entries.
+    Rows need not be ordered and may hold any integers.  The sum runs over
+    blocks of permutations, each block's (permutations x rows) work array
+    holding at most about BLOCK_ENTRIES entries.
     """
-    m, length, n = basis.m, basis.length, len(basis)
-    # coordinates x_1 <= ... <= x_m of every basis state, one row each
-    coords = np.repeat(np.tile(np.arange(1, length + 1), n), basis.occupations.ravel())
-    coords = coords.reshape(n, m)
-    # u_j^x for x = 0..L, reused across the whole sector
-    upow = np.ones((m, length + 1), dtype=complex)
-    upow[:, 1:] = np.cumprod(np.broadcast_to(u[:, None], (m, length)), axis=1)
-    # factor (j, k) of the closed-form amplitude for the ordered pair (u_j, u_k)
-    diff = u[:, None] - u[None, :]
-    np.fill_diagonal(diff, 1.0)
-    factor = 1.0 - np.outer(u - 1.0, u - 1.0) / (spin.two_s * diff)
+    n, m = coords.shape
+    if m == 0:
+        return np.ones(n, dtype=complex), 1.0
+    # u_j^x for x = lo..hi, as running products outward from u^0 = 1
+    lo, hi = min(0, int(coords.min())), max(0, int(coords.max()))
+    upow = np.ones((m, hi - lo + 1), dtype=complex)
+    upow[:, 1 - lo:] = np.cumprod(np.broadcast_to(u[:, None], (m, hi)), axis=1)
+    upow[:, :-lo] = np.cumprod(np.broadcast_to(1.0 / u[:, None], (m, -lo)), axis=1)[:, ::-1]
+    cols = coords - lo
+    factor = _pair_factors(u, spin)
     first, second = np.triu_indices(m, 1)
 
     perms = np.array(permutations_of(m), dtype=np.intp)
@@ -211,9 +207,9 @@ def _plane_wave_sum(basis: hilbert.SectorBasis, u: np.ndarray, spin: Spin) -> tu
         pb = perms[start:start + block]
         amps = np.prod(factor[pb[:, first], pb[:, second]], axis=1)
         # row P_t of the (m, n) table u_p^{x_t}: a row gather, not a scatter
-        terms = upow[:, coords[:, 0]][pb[:, 0]]
+        terms = upow[:, cols[:, 0]][pb[:, 0]]
         for t in range(1, m):
-            terms *= upow[:, coords[:, t]][pb[:, t]]
+            terms *= upow[:, cols[:, t]][pb[:, t]]
         vec += amps @ terms
         amp_sum += float(np.sum(np.abs(amps)))
     return vec, amp_sum
@@ -223,12 +219,15 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
     """Assemble Psi_m = sum_{x1<=...<=xm} a(x) |x1,...,xm> on the m sector."""
     if (k is None) == (lam is None):
         raise ValueError("provide exactly one of k or lam")
+    given = np.atleast_1d(np.asarray(k if lam is None else lam, dtype=complex))
+    if not np.isfinite(given).all():
+        raise InputRangeError(f"{'k' if lam is None else 'lambda'} must be finite, got {given}")
     if lam is not None:
-        lam = tuple(complex(z) for z in np.atleast_1d(np.asarray(lam, dtype=complex)))
-        k = tuple(np.atleast_1d(lambda_to_k(np.asarray(lam), spin))) if lam else ()
+        lam = tuple(complex(z) for z in given)
+        k = tuple(np.atleast_1d(lambda_to_k(given, spin))) if lam else ()
     else:
-        k = tuple(complex(z) for z in np.atleast_1d(np.asarray(k, dtype=complex)))
-        lam = tuple(np.atleast_1d(k_to_lambda(np.asarray(k), spin))) if k else ()
+        k = tuple(complex(z) for z in given)
+        lam = tuple(np.atleast_1d(k_to_lambda(given, spin))) if k else ()
     m = len(k)
     if m > spin.two_s * length:
         raise InputRangeError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
@@ -239,7 +238,10 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
 
     u = np.exp(1j * np.asarray(k, dtype=complex))
     _check_momenta(u)
-    vec, amp_sum = _plane_wave_sum(basis, u, spin)
+    # coordinates x_1 <= ... <= x_m of every basis state, one row each
+    sites = np.tile(np.arange(1, length + 1), len(basis))
+    coords = np.repeat(sites, basis.occupations.ravel()).reshape(len(basis), m)
+    vec, amp_sum = _plane_wave_sum(coords, u, spin)
     alpha = np.sqrt([math.comb(spin.two_s, j) for j in range(spin.dim)])
     vec *= np.prod(alpha[basis.occupations], axis=1)
 

@@ -62,15 +62,15 @@ def _solver_options(args) -> SolverOptions:
     """SolverOptions from the tolerance, seed and strategy flags; the
     constructor rejects out-of-range values with an InputRangeError."""
     overrides = {}
-    if getattr(args, "tol_newton", None) is not None:
+    if args.tol_newton is not None:
         overrides["tol_newton"] = args.tol_newton
-    if getattr(args, "tol_eigen", None) is not None:
+    if args.tol_eigen is not None:
         overrides["tol_eigen"] = overrides["tol_hw"] = args.tol_eigen
-    if getattr(args, "tol_match", None) is not None:
+    if args.tol_match is not None:
         overrides["tol_match"] = args.tol_match
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "strategy", None):
+    if args.strategy:
         overrides["strategies"] = tuple(args.strategy)
     return SolverOptions(**overrides)
 
@@ -198,8 +198,9 @@ def cmd_aba_compare(args, parser):
                               "a positive --count or a non-empty --lambda")
     rows = []
     for lam in lams:
-        phi = verify.aba_phi1(spin, args.length, lam)
+        # the state build validates the rapidity before the monodromy uses it
         psi = build_bethe_state(spin, args.length, lam=[lam])
+        phi = verify.aba_phi1(spin, args.length, lam)
         rows.append({"lambda": [lam.real, lam.imag],
                      "overlap": verify.overlap(phi, psi.vector)})
     out = {"two_s": spin.two_s, "L": args.length, "count": len(rows),
@@ -255,18 +256,22 @@ def _seed(text: str) -> int:
     return value
 
 
-def _add_common(sub, length_default=None, need_length=True):
+def _add_common(sub, *flags):
+    """--spin and --format, plus the named flags among length, cap, sector,
+    tolerances and seed; a command gets only the flags it reads."""
     sub.add_argument("--spin", required=True, help="spin as rational in halves, e.g. 1/2, 1, 3/2")
-    if need_length:
-        sub.add_argument("-L", "--length", type=int, default=length_default,
-                         required=length_default is None)
-    sub.add_argument("-m", "--sector", type=int, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--tol-newton", dest="tol_newton", type=float, default=None)
-    sub.add_argument("--tol-eigen", dest="tol_eigen", type=float, default=None)
-    sub.add_argument("--tol-match", dest="tol_match", type=float, default=None)
-    sub.add_argument("--seed", type=_seed, default=None)
-    sub.add_argument("--cap", type=int, default=None)
+    if "length" in flags:
+        sub.add_argument("-L", "--length", type=int, required=True)
+    if "cap" in flags:
+        sub.add_argument("--cap", type=int, default=None)
+    if "sector" in flags:
+        sub.add_argument("-m", "--sector", type=int, default=None)
+    if "tolerances" in flags:
+        for name in ("newton", "eigen", "match"):
+            sub.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
+    if "seed" in flags:
+        sub.add_argument("--seed", type=_seed, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,30 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("beta", help="dump the beta coefficient table")
-    _add_common(sub, need_length=False)
+    _add_common(sub)
     sub.set_defaults(func=cmd_beta)
 
     sub = subs.add_parser("local-h", help="dump the local two-site Hamiltonian")
-    _add_common(sub, need_length=False)
+    _add_common(sub)
     sub.set_defaults(func=cmd_local_h)
 
     sub = subs.add_parser("chain-h", help="dump the dense chain Hamiltonian")
-    _add_common(sub)
+    _add_common(sub, "length", "cap")
     sub.set_defaults(func=cmd_chain_h)
 
     sub = subs.add_parser("ed", help="exact diagonalization per sector")
-    _add_common(sub)
+    _add_common(sub, "length", "cap", "sector")
     sub.set_defaults(func=cmd_ed)
 
     sub = subs.add_parser("solve", help="solve the Bethe equations in one sector")
-    _add_common(sub)
+    _add_common(sub, "length", "cap", "sector", "tolerances", "seed")
     sub.add_argument("--strategy", action="append",
                      choices=("free-momenta", "two-string", "strings", "random"),
                      help="seeding strategy (repeatable; default: all)")
     sub.set_defaults(func=cmd_solve)
 
     sub = subs.add_parser("state", help="build a Bethe state from roots or momenta")
-    _add_common(sub)
+    _add_common(sub, "length", "cap")
     sub.add_argument("--lambda", dest="roots", default=None,
                      help="comma-separated complex rapidities, e.g. '0.5+0j,-0.5+0j'")
     sub.add_argument("--k", dest="momenta", default=None,
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("aba-compare", help="overlap of the monodromy one-magnon state with Psi_1")
-    _add_common(sub)
+    _add_common(sub, "length", "seed")
     sub.add_argument("--lambda", dest="roots", default=None,
                      help="comma-separated rapidities (default: random sample)")
     sub.add_argument("--count", type=int, default=20)

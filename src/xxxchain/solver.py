@@ -34,6 +34,8 @@ DESCENDANT_CUTOFF = 1e8
 DEGENERACY_TOL = 1e-6
 SINGULAR_PROXIMITY_TOL = 1e-2
 DEFLATION_TOL = 1e-6
+# the random strategy draws n_random seeds at each multiple of random_scale
+RANDOM_SCALE_SWEEP = (0.5, 1.0, 2.5)
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,8 @@ class SolverOptions:
     max_iter: int = 80
     n_random: int = 64
     random_scale: float = 1.5
-    random_scale_sweep: tuple = (0.5, 1.0, 2.5)
     seed: int = 0
     strategies: tuple = ("free-momenta", "two-string", "strings", "random")
-    include_singular: bool = True
 
     def __post_init__(self):
         for name in ("tol_newton", "tol_match"):
@@ -438,7 +438,7 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     registry = DeflationRegistry()
     certs = []
     for strategy in opts.strategies:
-        scales = opts.random_scale_sweep if strategy == "random" else (1.0,)
+        scales = RANDOM_SCALE_SWEEP if strategy == "random" else (1.0,)
         for scale in scales:
             for seed in seed_catalog(system, strategy, rng=rng, n_random=opts.n_random,
                                      random_scale=opts.random_scale * scale):
@@ -449,7 +449,7 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
                 if cert.certified(opts):
                     certs.append(cert)
 
-    if (opts.include_singular and spin.two_s == 1 and m == 2 and length % 2 == 0):
+    if spin.two_s == 1 and m == 2 and length % 2 == 0:
         state = singular_pair_state(spin, length)
         if registry.add(state.lam):
             bethe_res = scaled_residual(np.array(state.lam), system)

@@ -22,7 +22,8 @@ from .su2 import (
 )
 
 LOCAL_SPINS = (Spin(1), Spin(2), Spin(3), Spin(4))
-CHAIN_GRID = ((Spin(1), 4), (Spin(2), 3), (Spin(3), 2))
+# the pseudo-vacuum grid of acceptance criterion 2
+CHAIN_GRID = ((Spin(1), 6), (Spin(2), 4), (Spin(3), 3), (Spin(4), 2))
 
 
 def _check(name, worst, tol):
@@ -58,19 +59,6 @@ def su2_e_minus(seed=0):
     return _check("su2-e-minus", worst, 1e-13)
 
 
-def su2_global(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for spin, length in CHAIN_GRID:
-        sp_op = global_generator(spin, length, "+")
-        sm_op = global_generator(spin, length, "-")
-        sz_op = global_generator(spin, length, "z")
-        vec = rng.normal(size=sp_op.dim) + 1j * rng.normal(size=sp_op.dim)
-        lhs = sp_op.apply(sm_op.apply(vec)) - sm_op.apply(sp_op.apply(vec))
-        worst = max(worst, np.max(np.abs(lhs - 2 * sz_op.apply(vec))) / np.linalg.norm(vec))
-    return _check("su2-global-commutators", worst, 1e-12)
-
-
 def beta_symmetry(seed=0):
     from .hamiltonian import build_beta_table
 
@@ -104,32 +92,6 @@ def local_h_commutators(seed=0):
             total = np.kron(op, eye) + np.kron(eye, op)
             worst = max(worst, np.max(np.abs(total @ h - h @ total)))
     return _check("local-h-commutators", worst, 1e-12)
-
-
-def vacuum_annihilated(seed=0):
-    worst = 0.0
-    for spin, length in ((Spin(1), 6), (Spin(2), 4), (Spin(3), 3), (Spin(4), 2)):
-        ham = ChainHamiltonian(spin, length)
-        vac = np.zeros(ham.dim)
-        vac[0] = 1.0
-        worst = max(worst, np.max(np.abs(ham.apply(vac))))
-    return _check("vacuum-annihilated", worst, 1e-13)
-
-
-def sector_vs_full(seed=0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for spin, length, m in ((Spin(1), 4, 2), (Spin(2), 3, 2)):
-        ham = ChainHamiltonian(spin, length)
-        basis = hilbert.sector_basis(spin, length, m)
-        vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        inside = hilbert.apply_chain_h_in_sector(ham, basis, vec)
-        full = ham.apply(hilbert.embed_sector_vector(basis, vec))
-        back = full[basis.full_indices]
-        worst = max(worst, np.max(np.abs(inside - back)))
-        leak = np.linalg.norm(full) ** 2 - np.linalg.norm(back) ** 2
-        worst = max(worst, abs(leak))
-    return _check("sector-apply-matches-full", worst, 1e-12)
 
 
 def sigma_consistency(seed=0, samples=300):
@@ -221,25 +183,25 @@ def exchange_relation(seed=0, samples=40):
 
 
 def coinciding_constraint(seed=0, samples=30):
+    # (S_i S_{i+1} + (2s-1) S_i - (2s+1) S_{i+1} + 1) a = 0 at x_i = x_{i+1}
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spin in LOCAL_SPINS:
+        ts = spin.two_s
         for _ in range(samples):
             m = int(rng.integers(2, 5))
             k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
             u = np.exp(1j * k)
             i = int(rng.integers(m - 1))
-            x = sorted(rng.integers(1, 7, size=m))
+            x = np.sort(rng.integers(1, 7, size=m))
             x[i + 1] = x[i]
-            val = 0.0
-            scale = 0.0
-            for perm in bethe.permutations_of(m):
-                amp = bethe._amplitude_from_u(perm, u, spin)
-                base = amp * np.prod([u[perm[t]] ** x[t] for t in range(m)])
-                ui, uj = u[perm[i]], u[perm[i + 1]]
-                val += base * (ui * uj + (spin.two_s - 1) * ui - (spin.two_s + 1) * uj + 1)
-                scale += abs(base) * (1 + abs(ui)) * (1 + abs(uj))
-            worst = max(worst, abs(val) / scale)
+            # rows x + e_i + e_{i+1}, x + e_i, x + e_{i+1}, x
+            rows = np.tile(x, (4, 1))
+            rows[[0, 1], i] += 1
+            rows[[0, 2], i + 1] += 1
+            a = bethe._plane_wave_sum(rows, u, spin)[0]
+            val = a[0] + (ts - 1) * a[1] - (ts + 1) * a[2] + a[3]
+            worst = max(worst, abs(val) / max(abs(a[3]), abs(a[0]), 1.0))
     return _check("coinciding-coordinate-constraint", worst, 1e-11)
 
 
@@ -280,13 +242,10 @@ ALL_CHECKS = (
     su2_local_relations,
     su2_casimir,
     su2_e_minus,
-    su2_global,
     beta_symmetry,
     beta_recursions,
     local_h_symmetric,
     local_h_commutators,
-    vacuum_annihilated,
-    sector_vs_full,
     sigma_consistency,
     sigma_rapidity_form,
     energy_forms,
@@ -299,43 +258,55 @@ ALL_CHECKS = (
 
 
 def chain_checks_at(spin: Spin, length: int, seed: int = 0) -> list:
-    """Vacuum, symmetry and sector checks for one requested (spin, L)."""
+    """Vacuum, su(2) and sector checks for one chain (spin, L)."""
     rng = np.random.default_rng(seed)
+    tag = f"[s={spin},L={length}]"
     ham = ChainHamiltonian(spin, length)
     vac = np.zeros(ham.dim)
     vac[0] = 1.0
-    results = [_check(f"vacuum-annihilated[s={spin},L={length}]",
-                      np.max(np.abs(ham.apply(vac))), 1e-13)]
+    results = [_check(f"vacuum-annihilated{tag}", np.max(np.abs(ham.apply(vac))), 1e-13)]
+
     vec = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
+    norm = np.linalg.norm(vec)
+    sz, sp, sm = (global_generator(spin, length, alpha) for alpha in ("z", "+", "-"))
+    lhs = sp.apply(sm.apply(vec)) - sm.apply(sp.apply(vec))
+    results.append(_check(f"su2-global-commutators{tag}",
+                          np.max(np.abs(lhs - 2 * sz.apply(vec))) / norm, 1e-12))
+    h_vec = ham.apply(vec)
     worst = 0.0
-    for alpha in ("z", "+", "-"):
-        gen = global_generator(spin, length, alpha)
-        comm = gen.apply(ham.apply(vec)) - ham.apply(gen.apply(vec))
-        worst = max(worst, np.max(np.abs(comm)) / np.linalg.norm(vec))
-    results.append(_check(f"chain-su2-commutators[s={spin},L={length}]", worst, 1e-12))
-    worst = 0.0
-    for m in range(spin.two_s * length + 1):
-        basis = hilbert.sector_basis(spin, length, m)
-        sub = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        inside = hilbert.apply_chain_h_in_sector(ham, basis, sub)
-        full = ham.apply(hilbert.embed_sector_vector(basis, sub))
-        back = full[basis.full_indices]
-        worst = max(worst, np.max(np.abs(inside - back)))
-    results.append(_check(f"sector-apply-matches-full[s={spin},L={length}]", worst, 1e-12))
+    for gen in (sz, sp, sm):
+        comm = gen.apply(h_vec) - ham.apply(gen.apply(vec))
+        worst = max(worst, np.max(np.abs(comm)) / norm)
+    results.append(_check(f"chain-su2-commutators{tag}", worst, 1e-12))
+
+    # one vector with a random component in every sector, hit once on the
+    # full space: each slice must equal its sector block's action, which
+    # also catches any coupling between sectors
+    bases = [hilbert.sector_basis(spin, length, m) for m in range(spin.two_s * length + 1)]
+    subs = [rng.normal(size=len(b)) + 1j * rng.normal(size=len(b)) for b in bases]
+    lifted = np.zeros(ham.dim, dtype=complex)
+    for basis, sub in zip(bases, subs):
+        lifted[basis.full_indices] = sub
+    full = ham.apply(lifted)
+    worst = max(np.max(np.abs(ham.sector_matrix(basis.m) @ sub - full[basis.full_indices]))
+                for basis, sub in zip(bases, subs))
+    results.append(_check(f"sector-apply-matches-full{tag}", worst, 1e-12))
     return results
 
 
 def run_all(seed: int = 0, chain=None) -> list:
-    """Run every invariant check; `chain` = (spin, length) appends the
-    chain-level checks for that pair to the default grid."""
+    """Run every invariant check, then the chain-level checks over
+    CHAIN_GRID and, if `chain` = (spin, length) is not in it, that chain."""
     results = []
     for fn in ALL_CHECKS:
         try:
             results.append(fn(seed=seed))
         except Exception as exc:  # a crash is a failure, not an abort
             results.append((fn.__name__, False, f"raised {type(exc).__name__}: {exc}"))
-    if chain is not None:
-        spin, length = chain
+    chains = list(CHAIN_GRID)
+    if chain is not None and tuple(chain) not in chains:
+        chains.append(tuple(chain))
+    for spin, length in chains:
         try:
             results.extend(chain_checks_at(spin, length, seed=seed))
         except Exception as exc:

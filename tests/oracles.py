@@ -3,8 +3,11 @@
 Everything here is deliberately written against different primitives than the
 package code paths it checks: dense Kronecker products instead of axis-moved
 tensor contractions, the exchange recursion instead of the closed amplitude
-product, centered finite differences instead of the analytic Jacobian.
+product, a scalar permutation loop instead of the blocked plane-wave kernel,
+centered finite differences instead of the analytic Jacobian.
 """
+
+import itertools
 
 import numpy as np
 
@@ -51,16 +54,33 @@ def amplitude_by_recursion(perm, k, spin: Spin, reverse_scan=False):
     return amp
 
 
-def plane_wave_sum(x, k, spin: Spin):
-    """a(x) as the raw m!-term sum, defined for arbitrary (even unordered) x."""
+def plane_wave_sums(xs, k, spin: Spin):
+    """a(x) as the raw m!-term sum at each coordinate tuple x in `xs`, defined
+    for arbitrary (even unordered) x, with A_P multiplied up one scalar pair
+    factor at a time."""
     u = np.exp(1j * np.asarray(k, dtype=complex))
-    total = 0.0 + 0.0j
-    for perm in bethe.permutations_of(len(u)):
-        term = bethe._amplitude_from_u(perm, u, spin)
-        for t, xt in enumerate(x):
-            term *= u[perm[t]] ** xt
-        total += term
-    return total
+    amplitudes = []
+    for perm in itertools.permutations(range(len(u))):
+        amp = 1.0 + 0.0j
+        for j in range(len(perm)):
+            for l in range(j + 1, len(perm)):
+                a, b = u[perm[j]], u[perm[l]]
+                amp *= 1.0 - (a - 1.0) * (b - 1.0) / (spin.two_s * (a - b))
+        amplitudes.append((perm, amp))
+    out = []
+    for x in xs:
+        total = 0.0 + 0.0j
+        for perm, amp in amplitudes:
+            term = amp
+            for t, xt in enumerate(x):
+                term *= u[perm[t]] ** xt
+            total += term
+        out.append(total)
+    return np.array(out)
+
+
+def plane_wave_sum(x, k, spin: Spin):
+    return plane_wave_sums([x], k, spin)[0]
 
 
 def naive_bethe_terms(lam, spin: Spin, length: int):

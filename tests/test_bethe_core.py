@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import amplitude_by_recursion, plane_wave_sum, reduced_word
+from oracles import amplitude_by_recursion, plane_wave_sum, plane_wave_sums, reduced_word
 from xxxchain import bethe, hilbert
 from xxxchain.errors import (
     DegenerateRootsError,
@@ -180,6 +180,21 @@ def test_amplitude_a_requires_sorted_coordinates():
         bethe.amplitude_a((3, 1), [0.2, 0.4], Spin(1))
 
 
+def test_amplitude_a_beyond_the_chain_matches_oracle():
+    # the kernel sizes its power table from the coordinates, so x <= 0 and
+    # x > L need u^x with negative and large exponents
+    rng = np.random.default_rng(13)
+    for spin in SPINS:
+        for m in (1, 2, 3, 4):
+            k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+            for x in ([-4] * m, sorted(rng.integers(-6, 1, size=m)),
+                      sorted(rng.integers(7, 15, size=m)), sorted(rng.integers(-5, 15, size=m))):
+                x = tuple(int(v) for v in x)
+                expected = plane_wave_sum(x, k, spin)
+                val = bethe.amplitude_a(x, k, spin)
+                assert abs(val - expected) < 1e-12 * max(1.0, abs(expected)), (spin, x)
+
+
 def test_coinciding_coordinate_constraint():
     # (S_i S_{i+1} + (2s-1) S_i - (2s+1) S_{i+1} + 1) a = 0 at x_i = x_{i+1}
     rng = np.random.default_rng(8)
@@ -250,14 +265,13 @@ def test_build_state_matches_coordinate_sum():
 
 
 def _coordinate_amplitudes(state, k, rows):
-    """amplitude_a(x, k) * prod_j sqrt(C(2s, m_j)) at the given basis rows."""
+    """a(x) * prod_j sqrt(C(2s, m_j)) at the given basis rows, from the scalar
+    oracle rather than amplitude_a, which shares the kernel under test."""
     two_s = state.spin.two_s
-    out = []
-    for i in rows:
-        occ = state.basis.states[i]
-        alpha = math.prod(math.sqrt(math.comb(two_s, mj)) for mj in occ)
-        out.append(bethe.amplitude_a(hilbert.coordinates_of(occ), k, state.spin) * alpha)
-    return np.array(out)
+    occs = [state.basis.states[i] for i in rows]
+    alpha = [math.prod(math.sqrt(math.comb(two_s, mj)) for mj in occ) for occ in occs]
+    xs = [hilbert.coordinates_of(occ) for occ in occs]
+    return plane_wave_sums(xs, k, state.spin) * np.array(alpha)
 
 
 def test_build_state_equals_coordinate_amplitudes():
@@ -307,6 +321,14 @@ def test_build_state_m0_is_vacuum():
 def test_build_state_rejects_pole_rapidities():
     with pytest.raises(PoleError):
         bethe.build_bethe_state(Spin(1), 4, lam=[0.5j, -0.5j])
+
+
+def test_build_state_rejects_nonfinite_input():
+    for bad in (np.nan, np.inf, complex(0.3, np.inf), complex(np.nan, 0.0)):
+        with pytest.raises(InputRangeError, match="finite"):
+            bethe.build_bethe_state(Spin(1), 4, lam=[0.2, bad])
+        with pytest.raises(InputRangeError, match="finite"):
+            bethe.build_bethe_state(Spin(1), 4, k=[bad, 0.4])
 
 
 def test_build_state_rejects_m_beyond_capacity():

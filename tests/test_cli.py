@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -240,6 +241,34 @@ def test_aba_compare_without_rapidities_is_usage_error():
     assert not out and "at least one rapidity" in err
 
 
+def test_flags_a_command_does_not_read_are_usage_errors():
+    for argv in (
+        ("beta", "--spin", "1/2", "-m", "3"),
+        ("beta", "--spin", "1/2", "--tol-newton", "5"),
+        ("local-h", "--spin", "1/2", "--cap", "1"),
+        ("local-h", "--spin", "1/2", "-L", "4"),
+        ("chain-h", "--spin", "1/2", "-L", "2", "--seed", "4"),
+        ("ed", "--spin", "1/2", "-L", "2", "--tol-match", "1e-3"),
+        ("state", "--spin", "1/2", "-L", "4", "--k", "0.3", "-m", "1"),
+        ("aba-compare", "--spin", "1/2", "-L", "4", "--count", "2", "--cap", "10"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and not out and "unrecognized arguments" in err, argv
+
+
+def test_nonfinite_roots_and_momenta_are_usage_errors():
+    cases = (("state", "--lambda", "nan"), ("state", "--lambda", "0.1,inf"),
+             ("state", "--k", "inf"), ("state", "--k", "0.3,nan"),
+             ("aba-compare", "--lambda", "0.2,nan"))
+    # rejected before any arithmetic, so no NumPy RuntimeWarning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command, flag, value in cases:
+            code, out, err = run_cli(command, "--spin", "1/2", "-L", "4", flag, value)
+            assert code == 2, (command, flag, value)
+            assert not out and "must be finite" in err
+
+
 def test_verify_passes_and_filters():
     code, out, _ = run_cli("verify")
     payload = json.loads(out)
@@ -263,6 +292,22 @@ def test_verify_extended_chain_grid():
     assert any("vacuum-annihilated[s=3/2,L=3]" == n for n in names)
     code, _, _ = run_cli("verify", "--spin", "3/2")
     assert code == 2  # -L required alongside --spin
+
+
+def test_verify_names_each_grid_chain_once():
+    from xxxchain import suite
+
+    code, out, _ = run_cli("verify")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0 and len(names) == len(set(names))
+    for spin, length in suite.CHAIN_GRID:
+        tag = f"[s={spin},L={length}]"
+        assert [n for n in names if n.endswith(tag)] == [
+            f"{check}{tag}" for check in ("vacuum-annihilated", "su2-global-commutators",
+                                          "chain-su2-commutators", "sector-apply-matches-full")]
+    # (3/2, 3) is already on the grid, so asking for it adds nothing
+    code, out, _ = run_cli("verify", "--spin", "3/2", "-L", "3")
+    assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == names
 
 
 def test_verify_inject_fault():

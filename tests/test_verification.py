@@ -182,3 +182,24 @@ def test_sigma_rapidity_form_check_is_scale_relative():
     for seed in (0, 40, 74, 111, 190):
         name, passed, detail = suite.sigma_rapidity_form(seed=seed)
         assert passed, (seed, detail)
+
+
+class _SectorLeakingHamiltonian(ChainHamiltonian):
+    """A chain whose full-space apply couples sectors m = 1 and m = 2 weakly."""
+
+    def apply(self, vec):
+        out = super().apply(vec)
+        # spin 1/2: index 1 lowers the last site (m = 1), index 3 the last two (m = 2)
+        out[3] += 1e-8 * vec[1]
+        out[1] += 1e-8 * vec[3]
+        return out
+
+
+def test_chain_checks_catch_coupling_between_sectors(monkeypatch):
+    clean = {name: ok for name, ok, _ in suite.chain_checks_at(Spin(1), 6, seed=0)}
+    assert all(clean.values())
+    monkeypatch.setattr(suite, "ChainHamiltonian", _SectorLeakingHamiltonian)
+    leaky = {name: ok for name, ok, _ in suite.chain_checks_at(Spin(1), 6, seed=0)}
+    assert leaky.keys() == clean.keys()
+    assert not leaky["sector-apply-matches-full[s=1/2,L=6]"]
+    assert leaky["vacuum-annihilated[s=1/2,L=6]"]
