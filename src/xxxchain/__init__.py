@@ -47,6 +47,7 @@ from .solver import (
     RootCertificate,
     SolverOptions,
     bethe_residual,
+    newton_batch,
     newton_solve,
     seed_catalog,
     singular_pair_state,

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import hilbert
+from . import bethe, hilbert
 from .bethe import BetheState, build_bethe_state
 from .errors import ChainError, InputRangeError, NewtonFailureError
 from .hamiltonian import ChainHamiltonian
@@ -103,52 +103,84 @@ class RootCertificate:
         }
 
 
-# row 0 carries lambda + is and the factors lambda_j - lambda_l - i,
-# row 1 carries lambda - is and lambda_j - lambda_l + i
+# axis 1 of the factor arrays: entry 0 carries lambda + is and the factors
+# lambda_j - lambda_l - i, entry 1 carries lambda - is and lambda_j - lambda_l + i
 _SHIFTS = np.array([[1j], [-1j]])
+# step damping of the Newton line search, tried in this order
+_DAMPING = (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
 
 
 @lru_cache(maxsize=None)
-def _off_diagonal(m: int) -> np.ndarray:
-    mask = ~np.eye(m, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+def _off_diagonal(m: int):
+    """Row and column indices of the off-diagonal entries of an m x m
+    matrix, row by row."""
+    rows, cols = np.nonzero(~np.eye(m, dtype=bool))
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _row(lam) -> np.ndarray:
+    """One root set as a 1 x m complex array."""
+    return np.atleast_1d(np.asarray(lam, dtype=complex)).reshape(1, -1)
 
 
 def _factors(lam: np.ndarray, s: float):
-    """(lambda_j +- is) as a 2 x m array and the pair factors
-    lambda_j - lambda_l -+ i (l != j, ascending) as a 2 x m x (m-1) array."""
-    m = len(lam)
-    diff = (lam[:, None] - lam[None, :])[_off_diagonal(m)].reshape(m, m - 1)
-    return lam + s * _SHIFTS, diff - _SHIFTS[:, :, None]
+    """For root sets as the rows of an n x m array: (lambda_j +- is) as an
+    n x 2 x m array and the pair factors lambda_j - lambda_l -+ i (l != j,
+    ascending) as an n x 2 x m x (m-1) array."""
+    n, m = lam.shape
+    rows, cols = _off_diagonal(m)
+    diff = (lam[:, rows] - lam[:, cols]).reshape(n, 1, m, m - 1)
+    # C order keeps each row's product over l a sequential scalar reduction,
+    # so a root set gets the same bits in a batch of any size
+    return lam[:, None, :] + s * _SHIFTS, np.subtract(diff, _SHIFTS[:, :, None], order="C")
 
 
-def _products(lam: np.ndarray, s: float, length: int) -> np.ndarray:
-    """The terms t1, t2 of F = t1 - t2 as the rows of a 2 x m array."""
-    poles, pairs = _factors(lam, s)
-    return poles**length * pairs.prod(axis=2)
-
-
-def _residual(lam: np.ndarray, system: BetheSystem):
-    """F(lambda) and its scaled maximum from one product pass."""
-    t1, t2 = _products(lam, system.spin.s, system.length)
+def _residuals(lam: np.ndarray, system: BetheSystem):
+    """F(lambda) of each row of lam and its scaled maximum, from one pass over
+    the terms t1, t2 of F = t1 - t2."""
+    poles, pairs = _factors(lam, system.spin.s)
+    terms = poles**system.length * pairs.prod(axis=3)
+    t1, t2 = terms[:, 0], terms[:, 1]
     f = t1 - t2
     scale = np.abs(t1) + np.abs(t2)
-    out = np.zeros(len(f))
+    out = np.zeros(f.shape)
     np.divide(np.abs(f), scale, out=out, where=scale > 0.0)
-    return f, float(out.max())
+    return f, out.max(axis=1)
+
+
+def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
+    """Analytic Jacobians dF_j/dlambda_r of the rows of lam, n x m x m."""
+    n, m = lam.shape
+    s, length = system.spin.s, system.length
+    poles, pairs = _factors(lam, s)
+    d_poles = length * poles ** (length - 1)
+    if m == 1:
+        return (d_poles[:, 0] - d_poles[:, 1]).reshape(n, 1, 1)
+    ones = np.ones((n, 2, m, 1), dtype=complex)
+    prefix = np.cumprod(np.concatenate((ones, pairs[..., :-1]), axis=3), axis=3)
+    suffix = np.cumprod(np.concatenate((ones, pairs[..., :0:-1]), axis=3), axis=3)[..., ::-1]
+    full = prefix[..., -1] * pairs[..., -1]
+    # d(lambda_j - lambda_r -+ i)/dlambda_r = -1 for the factor l = r
+    partial = poles[..., None] ** length * prefix * suffix
+    off = partial[:, 1] - partial[:, 0]
+    out = np.empty((n, m, m), dtype=complex)
+    out[:, *_off_diagonal(m)] = off.reshape(n, -1)
+    diag = np.arange(m)
+    out[:, diag, diag] = d_poles[:, 0] * full[:, 0] - d_poles[:, 1] * full[:, 1] - off.sum(axis=2)
+    return out
 
 
 def bethe_residual(lam, system: BetheSystem) -> np.ndarray:
     """Polynomial-cleared residual vector F(lambda)."""
-    return _residual(np.atleast_1d(np.asarray(lam, dtype=complex)), system)[0]
+    return _residuals(_row(lam), system)[0][0]
 
 
 def scaled_residual(lam, system: BetheSystem) -> float:
     """max_j |F_j| / (|t1_j| + |t2_j|); the 0/0 of an exactly-cancelling pair
     counts as 0.  Relative scaling keeps the spurious near-zero sheet around
     the poles from masquerading as converged."""
-    return _residual(np.atleast_1d(np.asarray(lam, dtype=complex)), system)[1]
+    return float(_residuals(_row(lam), system)[1][0])
 
 
 def jacobian(lam, system: BetheSystem) -> np.ndarray:
@@ -157,24 +189,7 @@ def jacobian(lam, system: BetheSystem) -> np.ndarray:
     The product of all pair factors but one comes from prefix and suffix
     products, never by division, so an exactly vanishing factor (two roots
     at distance i, as in an exact string) is handled like any other."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    m = len(lam)
-    s, length = system.spin.s, system.length
-    poles, pairs = _factors(lam, s)
-    d_poles = length * poles ** (length - 1)
-    if m == 1:
-        return (d_poles[0] - d_poles[1]).reshape(1, 1)
-    ones = np.ones((2, m, 1), dtype=complex)
-    prefix = np.cumprod(np.concatenate((ones, pairs[:, :, :-1]), axis=2), axis=2)
-    suffix = np.cumprod(np.concatenate((ones, pairs[:, :, :0:-1]), axis=2), axis=2)[:, :, ::-1]
-    full = prefix[:, :, -1] * pairs[:, :, -1]
-    # d(lambda_j - lambda_r -+ i)/dlambda_r = -1 for the factor l = r
-    partial = poles[:, :, None] ** length * prefix * suffix
-    off = partial[1] - partial[0]
-    out = np.empty((m, m), dtype=complex)
-    out[_off_diagonal(m)] = off.ravel()
-    np.fill_diagonal(out, d_poles[0] * full[0] - d_poles[1] * full[1] - off.sum(axis=1))
-    return out
+    return _jacobians(_row(lam), system)[0]
 
 
 def classify_roots(lam, system: BetheSystem) -> Optional[str]:
@@ -198,49 +213,109 @@ def classify_roots(lam, system: BetheSystem) -> Optional[str]:
 
 
 def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 80):
-    """Newton iteration with step damping; returns (roots, iterations)."""
-    lam = np.atleast_1d(np.asarray(seed, dtype=complex)).copy()
+    """Newton iteration with step damping; returns (roots, iterations).
+
+    The one-row call of `newton_batch`; raises the row's NewtonFailureError."""
+    lam = np.atleast_1d(np.asarray(seed, dtype=complex))
     if lam.size != system.m:
         raise ValueError(f"seed has {lam.size} components, system needs {system.m}")
+    roots, iterations, failures = newton_batch(system, lam.reshape(1, -1), tol, max_iter)
+    if failures[0] is not None:
+        raise failures[0]
+    return roots[0], int(iterations[0])
+
+
+def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int = 80):
+    """Damped Newton from every row of an n x m seed array, in lockstep.
+
+    Returns (roots, iterations, failures): the last iterates as an n x m
+    array, each row's iteration count (for a failed row, the iteration it
+    failed in), and per row None (converged) or the NewtonFailureError it
+    ended with.  Each row evaluates exactly the points it would evaluate
+    alone.  Rows run in blocks whose largest work array (the Jacobian's,
+    2 m^2 entries a row) stays within bethe.BLOCK_ENTRIES."""
+    lam = np.asarray(seeds, dtype=complex)
+    if lam.ndim != 2 or lam.shape[1] != system.m:
+        raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
+    n = len(lam)
+    roots, iterations, failures = np.empty_like(lam), np.empty(n, dtype=int), [None] * n
+    rows = max(1, bethe.BLOCK_ENTRIES // (2 * system.m**2))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        roots[block], iterations[block], failures[block] = _lockstep(
+            system, lam[block], tol, max_iter)
+    return roots, iterations, failures
+
+
+def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int):
+    """newton_batch on one block: one Newton iteration of all unfinished
+    rows at a time, the line search staged so that damping level k is tried
+    only on the rows no earlier level accepted."""
+    lam = seeds.copy()
+    n = len(lam)
+    iterations = np.empty(n, dtype=int)
+    failures = [None] * n
+    running = np.ones(n, dtype=bool)
+
+    def end(rows, it, reason=None, detail=""):
+        # detail may format the row's best scaled residual
+        iterations[rows] = it
+        running[rows] = False
+        if reason is not None:
+            for row in rows:
+                failures[row] = NewtonFailureError(reason, detail.format(best[row]))
+
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
-    f, best = _residual(lam, system)
+    f, best = _residuals(lam, system)
     for it in range(max_iter):
-        if not np.isfinite(lam).all():
-            raise NewtonFailureError("nonfinite", "iterate left the finite domain")
-        step = _newton_step(lam, f, system)
-        if best <= tol:
-            # one polishing step sharpens the root well below tol
-            if step is not None and _residual(lam + step, system)[1] <= best:
-                lam = lam + step
-            return lam, it
-        if step is None:
-            raise NewtonFailureError("singular-jacobian")
-        accepted = False
-        for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128):
-            cand = lam + damp * step
-            f_cand, r = _residual(cand, system)
-            if math.isfinite(r) and r < best:
-                lam, f, best = cand, f_cand, r
-                accepted = True
+        active = np.flatnonzero(running)
+        finite = np.isfinite(lam[active]).all(axis=1)
+        end(active[~finite], it, "nonfinite", "iterate left the finite domain")
+        active = active[finite]
+        if not active.size:
+            break
+        step = _newton_steps(_jacobians(lam[active], system), f[active])
+        usable = np.isfinite(step).all(axis=1)
+        done = best[active] <= tol
+        # one polishing step sharpens a converged root well below tol
+        polish = active[done & usable]
+        if polish.size:
+            cand = lam[polish] + step[done & usable]
+            better = _residuals(cand, system)[1] <= best[polish]
+            lam[polish[better]] = cand[better]
+        end(active[done], it)
+        end(active[~done & ~usable], it, "singular-jacobian")
+        rows, step = active[~done & usable], step[~done & usable]
+        for damp in _DAMPING:
+            if not rows.size:
                 break
-        if not accepted:
-            raise NewtonFailureError("stalled", f"residual {best:.3e} after {it} iterations")
-    if best <= tol:
-        return lam, max_iter
-    raise NewtonFailureError("max-iter", f"residual {best:.3e} after {max_iter} iterations")
+            cand = lam[rows] + damp * step
+            f_cand, r = _residuals(cand, system)
+            accept = np.isfinite(r) & (r < best[rows])
+            hit = rows[accept]
+            lam[hit], f[hit], best[hit] = cand[accept], f_cand[accept], r[accept]
+            rows, step = rows[~accept], step[~accept]
+        end(rows, it, "stalled", f"residual {{:.3e}} after {it} iterations")
+    left = np.flatnonzero(running)
+    converged = best[left] <= tol
+    end(left[converged], max_iter)
+    end(left[~converged], max_iter, "max-iter", f"residual {{:.3e}} after {max_iter} iterations")
+    return lam, iterations, failures
 
 
-def _newton_step(lam, f, system):
-    """Newton direction -J^{-1} F at lam, given F = bethe_residual(lam)."""
-    jac = jacobian(lam, system)
+def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Newton directions -J^{-1} F, one per row.  Where LAPACK finds a
+    Jacobian singular, the rows are halved until it stands alone, and only
+    it falls back to least squares."""
     try:
-        step = np.linalg.solve(jac, -f)
+        return np.linalg.solve(jac, -f[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-    if not np.isfinite(step).all():
-        return None
-    return step
+        if len(jac) == 1:
+            return np.linalg.lstsq(jac[0], -f[0], rcond=None)[0][None]
+        half = len(jac) // 2
+        return np.concatenate((_newton_steps(jac[:half], f[:half]),
+                               _newton_steps(jac[half:], f[half:])))
 
 
 def free_momenta_rapidities(spin: Spin, length: int) -> list:
@@ -328,31 +403,50 @@ def seed_catalog(system: BetheSystem, strategy: str, rng=None,
     raise ValueError(f"unknown seeding strategy {strategy!r}")
 
 
+def sector_seeds(system: BetheSystem, opts: SolverOptions) -> np.ndarray:
+    """The seeds of every strategy in `opts.strategies`, in order, as the
+    rows of an n x m array; the random strategy draws from one generator
+    seeded with `opts.seed`, once per scale of RANDOM_SCALE_SWEEP."""
+    rng = np.random.default_rng(opts.seed)
+    seeds = [seed
+             for strategy in opts.strategies
+             for scale in (RANDOM_SCALE_SWEEP if strategy == "random" else (1.0,))
+             for seed in seed_catalog(system, strategy, rng=rng, n_random=opts.n_random,
+                                      random_scale=opts.random_scale * scale)]
+    return np.array(seeds, dtype=complex).reshape(-1, system.m)
+
+
 class DeflationRegistry:
     """Unordered root-set dedup via elementary symmetric polynomials,
     identifying a set with its complex conjugate."""
 
     def __init__(self, tol: float = DEFLATION_TOL):
         self.tol = tol
-        self._fingerprints = []
+        self._fingerprints = None  # one registered set per row
 
     @staticmethod
     def _fingerprint(lam) -> np.ndarray:
         return np.poly(np.atleast_1d(np.asarray(lam, dtype=complex)))[1:]
 
-    def _close(self, a: np.ndarray, b: np.ndarray) -> bool:
-        return bool(np.all(np.abs(a - b) <= self.tol * (1.0 + np.abs(b))))
+    def _seen(self, fp: np.ndarray) -> bool:
+        refs = self._fingerprints
+        if refs is None:
+            return False
+        # the set and its conjugate against every registered set at once
+        cands = np.stack((fp, np.conj(fp)))[:, None, :]
+        close = np.abs(cands - refs) <= self.tol * (1.0 + np.abs(refs))
+        return bool(close.all(axis=2).any())
 
     def seen(self, lam) -> bool:
-        fp = self._fingerprint(lam)
-        fpc = np.conj(fp)
-        return any(self._close(fp, ref) or self._close(fpc, ref) for ref in self._fingerprints)
+        return self._seen(self._fingerprint(lam))
 
     def add(self, lam) -> bool:
         """Register a root set; returns False if it was already present."""
-        if self.seen(lam):
+        fp = self._fingerprint(lam)
+        if self._seen(fp):
             return False
-        self._fingerprints.append(self._fingerprint(lam))
+        refs = self._fingerprints
+        self._fingerprints = fp[None] if refs is None else np.vstack((refs, fp))
         return True
 
 
@@ -392,13 +486,16 @@ def _certificate(state: BetheState, bethe_res: float, iterations: int,
     )
 
 
-def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
-                 hamiltonian: ChainHamiltonian = None,
-                 registry: DeflationRegistry = None) -> RootCertificate:
-    """Run one seed through Newton, classification, deflation and state build."""
-    if hamiltonian is None:
-        hamiltonian = ChainHamiltonian(system.spin, system.length)
-    lam, iterations = newton_solve(system, seed, tol=opts.tol_newton, max_iter=opts.max_iter)
+def order_key(energy: complex, lam, m: int = 0) -> tuple:
+    """Sort key of a certified root set: the energy to 9 digits, so that
+    last-bit noise cannot reorder degenerate levels, then m, then the roots."""
+    return (round(energy.real, 9), round(energy.imag, 9), m,
+            tuple(sorted((z.real, z.imag) for z in lam)))
+
+
+def _settle(system: BetheSystem, lam: np.ndarray, iterations: int,
+            hamiltonian: ChainHamiltonian, registry: Optional[DeflationRegistry]):
+    """Classification, deflation, state build and certificate of one Newton root."""
     reason = classify_roots(lam, system)
     if reason is not None:
         raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
@@ -411,13 +508,25 @@ def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
     return _certificate(state, scaled_residual(lam, system), iterations, hamiltonian)
 
 
+def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
+                 hamiltonian: ChainHamiltonian = None,
+                 registry: DeflationRegistry = None) -> RootCertificate:
+    """Run one seed through Newton, classification, deflation and state build."""
+    if hamiltonian is None:
+        hamiltonian = ChainHamiltonian(system.spin, system.length)
+    lam, iterations = newton_solve(system, seed, tol=opts.tol_newton, max_iter=opts.max_iter)
+    return _settle(system, lam, iterations, hamiltonian, registry)
+
+
 def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
                  hamiltonian: ChainHamiltonian = None) -> list:
     """All distinct certified root sets the seed catalog reaches for one sector.
 
-    Root sets are returned sorted by energy; each carries its Bethe,
-    eigenvector and highest-weight residuals.  Sets failing the certification
-    thresholds are dropped.
+    Newton runs on the whole catalog at once (`newton_batch`); the roots are
+    then settled one by one in catalog order, so the first seed to reach a
+    root set registers it.  Root sets are returned sorted by `order_key`;
+    each carries its Bethe, eigenvector and highest-weight residuals.  Sets
+    failing the certification thresholds are dropped.
     """
     if opts is None:
         opts = SolverOptions()
@@ -434,20 +543,19 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         vacuum = build_bethe_state(spin, length, k=())
         return [_certificate(vacuum, 0.0, 0, hamiltonian)]
 
-    rng = np.random.default_rng(opts.seed)
+    roots, iterations, failures = newton_batch(system, sector_seeds(system, opts),
+                                               opts.tol_newton, opts.max_iter)
     registry = DeflationRegistry()
     certs = []
-    for strategy in opts.strategies:
-        scales = RANDOM_SCALE_SWEEP if strategy == "random" else (1.0,)
-        for scale in scales:
-            for seed in seed_catalog(system, strategy, rng=rng, n_random=opts.n_random,
-                                     random_scale=opts.random_scale * scale):
-                try:
-                    cert = solve_newton(system, seed, opts, hamiltonian, registry)
-                except NewtonFailureError:
-                    continue
-                if cert.certified(opts):
-                    certs.append(cert)
+    for lam, its, failure in zip(roots, iterations, failures):
+        if failure is not None:
+            continue
+        try:
+            cert = _settle(system, lam, int(its), hamiltonian, registry)
+        except NewtonFailureError:
+            continue
+        if cert.certified(opts):
+            certs.append(cert)
 
     if spin.two_s == 1 and m == 2 and length % 2 == 0:
         state = singular_pair_state(spin, length)
@@ -457,6 +565,5 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
             if cert.certified(opts):
                 certs.append(cert)
 
-    certs.sort(key=lambda c: (round(c.energy.real, 9), round(c.energy.imag, 9),
-                              tuple(sorted((z.real, z.imag) for z in c.lam))))
+    certs.sort(key=lambda c: order_key(c.energy, c.lam))
     return certs

@@ -126,7 +126,7 @@ def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> Spectr
     """Match certified Bethe multiplets (each of dimension 2(Ls-m)+1, spanned
     by repeated S^-) against per-sector ED eigenvalues; leftover ED levels are
     itemized with their sector and energy."""
-    from .solver import SolverOptions, solve_sector
+    from .solver import SolverOptions, order_key, solve_sector
 
     if opts is None:
         opts = SolverOptions()
@@ -140,7 +140,7 @@ def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> Spectr
             multiplicity = spin.two_s * length - 2 * m + 1
             multiplets.append(BetheMultiplet(m, cert.lam, cert.energy, multiplicity,
                                              cert.singular))
-    multiplets.sort(key=lambda rec: (rec.energy.real, rec.m))
+    multiplets.sort(key=lambda rec: order_key(rec.energy, rec.lam, rec.m))
     report.bethe = multiplets
 
     for rec in multiplets:

@@ -4,15 +4,18 @@ Everything here is deliberately written against different primitives than the
 package code paths it checks: dense Kronecker products instead of axis-moved
 tensor contractions, the exchange recursion instead of the closed amplitude
 product, a scalar permutation loop instead of the blocked plane-wave kernel,
-centered finite differences instead of the analytic Jacobian.
+centered finite differences instead of the analytic Jacobian, one Newton run
+per seed instead of the lockstep batch.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from xxxchain import bethe
-from xxxchain.solver import BetheSystem, bethe_residual
+from xxxchain.errors import NewtonFailureError
+from xxxchain.solver import BetheSystem, bethe_residual, jacobian, scaled_residual
 from xxxchain.su2 import Spin
 
 
@@ -109,6 +112,57 @@ def fd_jacobian(lam, system: BetheSystem, rel_step=1e-7):
         dl[a] = h
         out[:, a] = (bethe_residual(lam + dl, system) - bethe_residual(lam - dl, system)) / (2 * h)
     return out
+
+
+def _residual(lam, system):
+    return bethe_residual(lam, system), scaled_residual(lam, system)
+
+
+def _newton_step(lam, f, system):
+    """Newton direction -J^{-1} F at lam, given F = bethe_residual(lam)."""
+    jac = jacobian(lam, system)
+    try:
+        step = np.linalg.solve(jac, -f)
+    except np.linalg.LinAlgError:
+        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+    if not np.isfinite(step).all():
+        return None
+    return step
+
+
+def newton_loop(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 80):
+    """The scalar damped Newton loop that `solver.newton_batch` replaced, one
+    seed at a time; returns (roots, iterations) or raises NewtonFailureError."""
+    lam = np.atleast_1d(np.asarray(seed, dtype=complex)).copy()
+    if lam.size != system.m:
+        raise ValueError(f"seed has {lam.size} components, system needs {system.m}")
+    # each accepted point's residual vector comes from the same product pass
+    # as its scaled residual and feeds the next Newton step
+    f, best = _residual(lam, system)
+    for it in range(max_iter):
+        if not np.isfinite(lam).all():
+            raise NewtonFailureError("nonfinite", "iterate left the finite domain")
+        step = _newton_step(lam, f, system)
+        if best <= tol:
+            # one polishing step sharpens the root well below tol
+            if step is not None and _residual(lam + step, system)[1] <= best:
+                lam = lam + step
+            return lam, it
+        if step is None:
+            raise NewtonFailureError("singular-jacobian")
+        accepted = False
+        for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128):
+            cand = lam + damp * step
+            f_cand, r = _residual(cand, system)
+            if math.isfinite(r) and r < best:
+                lam, f, best = cand, f_cand, r
+                accepted = True
+                break
+        if not accepted:
+            raise NewtonFailureError("stalled", f"residual {best:.3e} after {it} iterations")
+    if best <= tol:
+        return lam, max_iter
+    raise NewtonFailureError("max-iter", f"residual {best:.3e} after {max_iter} iterations")
 
 
 def kron_site_operator(op, length, site, dim):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import fd_jacobian, naive_bethe_terms
-from xxxchain import bethe, hilbert
+from oracles import fd_jacobian, naive_bethe_terms, newton_loop
+from xxxchain import bethe, hilbert, solver
 from xxxchain.errors import ChainError, InputRangeError, NewtonFailureError
 from xxxchain.hamiltonian import ChainHamiltonian
 from xxxchain.solver import (
@@ -15,15 +16,22 @@ from xxxchain.solver import (
     classify_roots,
     free_momenta_rapidities,
     jacobian,
+    newton_batch,
     newton_solve,
     scaled_residual,
+    sector_seeds,
     seed_catalog,
     singular_pair_state,
     solve_newton,
     solve_sector,
 )
 from xxxchain.su2 import Spin
-from xxxchain.verify import eigen_residual, highest_weight_residual, sector_eigh
+from xxxchain.verify import (
+    eigen_residual,
+    highest_weight_residual,
+    reconcile_spectrum,
+    sector_eigh,
+)
 
 
 def test_one_magnon_exact_roots():
@@ -120,6 +128,81 @@ def test_newton_failure_modes():
     with pytest.raises(NewtonFailureError) as err:
         solve_newton(system, np.array([0.003 + 0.5j, 0.003 - 0.5j]), opts, ham)
     assert err.value.reason in ("singular", "stalled", "max-iter")
+
+
+def _same_outcomes(a, b):
+    roots_a, its_a, fails_a = a
+    roots_b, its_b, fails_b = b
+    assert np.array_equal(roots_a, roots_b, equal_nan=True)
+    assert np.array_equal(its_a, its_b)
+    assert [None if e is None else (e.reason, str(e)) for e in fails_a] == \
+        [None if e is None else (e.reason, str(e)) for e in fails_b]
+
+
+def test_newton_batch_matches_scalar_oracle():
+    opts = SolverOptions()
+    reasons = set()
+    for two_s, length, m in CRITERION6_GRID:
+        system = BetheSystem(Spin(two_s), length, m)
+        seeds = sector_seeds(system, opts)
+        roots, iterations, failures = newton_batch(system, seeds, opts.tol_newton, opts.max_iter)
+        for seed, lam, its, failure in zip(seeds, roots, iterations, failures):
+            try:
+                expected, expected_its = newton_loop(system, seed, opts.tol_newton, opts.max_iter)
+            except NewtonFailureError as exc:
+                # stalled and max-iter messages carry the iteration count
+                assert failure is not None and (failure.reason, str(failure)) == \
+                    (exc.reason, str(exc)), (two_s, length, m, seed)
+                reasons.add(exc.reason)
+                continue
+            assert failure is None, (two_s, length, m, seed)
+            assert its == expected_its
+            assert np.max(np.abs(lam - expected)) <= 1e-9
+            reasons.add(None)
+    assert {None, "stalled", "max-iter"} <= reasons
+
+
+def test_singular_jacobian_row_leaves_the_batch_alone():
+    # the Jacobian at {1/2, -1/2} for spin 1/2, L=6 is exactly singular, so
+    # LAPACK rejects the whole stacked solve
+    system = BetheSystem(Spin(1), 6, 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jacobian([0.5, -0.5], system), np.ones(2))
+    seeds = np.array([[0.6 + 0.1j, -0.3], [0.5, -0.5], [1.1, 0.2 - 0.4j],
+                      [-0.9 + 0.3j, 0.4 + 0.3j], [0.87, 0.29]])
+    batch = newton_batch(system, seeds)
+    for row in range(len(seeds)):
+        alone = newton_batch(system, seeds[row:row + 1])
+        _same_outcomes(tuple(part[row:row + 1] for part in batch), alone)
+    assert [None if e is None else e.reason for e in batch[2]] == \
+        [None, None, None, "stalled", "stalled"]
+
+
+def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
+    system = BetheSystem(Spin(2), 4, 2)
+    seeds = sector_seeds(system, SolverOptions())
+    whole = newton_batch(system, seeds)
+    blocks = []
+    lockstep = solver._lockstep
+
+    def counted(system, seeds, *args):
+        blocks.append(len(seeds))
+        return lockstep(system, seeds, *args)
+
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 3 * 2 * system.m**2)
+    monkeypatch.setattr(solver, "_lockstep", counted)
+    split = newton_batch(system, seeds)
+    assert max(blocks) == 3 and sum(blocks) == len(seeds)
+    _same_outcomes(whole, split)
+
+
+def test_solver_emits_no_runtime_warnings():
+    opts = SolverOptions(tol_eigen=np.inf, tol_hw=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for two_s, length, m in CRITERION6_GRID:
+            solve_sector(Spin(two_s), length, m, opts)
+        reconcile_spectrum(Spin(1), 6, 3)
 
 
 def test_classification():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import spectrum_with_multiplicities
-from xxxchain import bethe, hilbert, suite
+from xxxchain import bethe, hilbert, solver, suite
 from xxxchain.errors import PoleError
 from xxxchain.hamiltonian import ChainHamiltonian
 from xxxchain.solver import solve_sector
@@ -121,6 +121,27 @@ def test_reconcile_spin1_L3_reports_deficit():
         assert len(report.unmatched) == 1
         assert report.unmatched[0]["m"] == 3
         assert abs(report.unmatched[0]["energy"] + 3.0) < 1e-9
+
+
+def test_reconcile_order_ignores_last_bit_energy_noise(monkeypatch):
+    # (1/2, L=6) has three multiplets at E = -4: one from m = 1, two from m = 3
+    spin, length = Spin(1), 6
+    clean = reconcile_spectrum(spin, length, 3)
+    assert sum(abs(rec.energy.real + 4.0) < 1e-9 for rec in clean.bethe) == 3
+    solve = solver.solve_sector
+
+    def noisy(*args, **kwargs):
+        certs = solve(*args, **kwargs)
+        for i, cert in enumerate(certs):
+            # alternate signs, so each pair of neighbours swaps under exact sorting
+            cert.energy += 1e-13 if i % 2 == 0 else -1e-13
+        return certs
+
+    monkeypatch.setattr(solver, "solve_sector", noisy)
+    perturbed = reconcile_spectrum(spin, length, 3)
+    assert [(rec.m, rec.lam) for rec in perturbed.bethe] == \
+        [(rec.m, rec.lam) for rec in clean.bethe]
+    assert perturbed.matched_levels == clean.matched_levels
 
 
 def test_reconcile_json_schema_shape():
