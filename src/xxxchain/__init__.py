@@ -47,7 +47,6 @@ from .solver import (
     RootCertificate,
     SolverOptions,
     bethe_residual,
-    newton_batch,
     newton_solve,
     seed_catalog,
     singular_pair_state,

@@ -165,7 +165,8 @@ def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     partial = poles[..., None] ** length * prefix * suffix
     off = partial[:, 1] - partial[:, 0]
     out = np.empty((n, m, m), dtype=complex)
-    out[:, *_off_diagonal(m)] = off.reshape(n, -1)
+    rows, cols = _off_diagonal(m)
+    out[:, rows, cols] = off.reshape(n, -1)
     diag = np.arange(m)
     out[:, diag, diag] = d_poles[:, 0] * full[:, 0] - d_poles[:, 1] * full[:, 1] - off.sum(axis=2)
     return out
@@ -486,10 +487,11 @@ def _certificate(state: BetheState, bethe_res: float, iterations: int,
     )
 
 
-def order_key(energy: complex, lam, m: int = 0) -> tuple:
-    """Sort key of a certified root set: the energy to 9 digits, so that
-    last-bit noise cannot reorder degenerate levels, then m, then the roots."""
-    return (round(energy.real, 9), round(energy.imag, 9), m,
+def order_key(energy: complex, lam) -> tuple:
+    """Sort key of a certified root set: the energy rounded to 9 digits, so
+    that last-bit noise rarely reorders degenerate levels (two energies on
+    either side of a rounding boundary still differ), then m, then the roots."""
+    return (round(energy.real, 9), round(energy.imag, 9), len(lam),
             tuple(sorted((z.real, z.imag) for z in lam)))
 
 

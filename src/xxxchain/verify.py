@@ -140,7 +140,7 @@ def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> Spectr
             multiplicity = spin.two_s * length - 2 * m + 1
             multiplets.append(BetheMultiplet(m, cert.lam, cert.energy, multiplicity,
                                              cert.singular))
-    multiplets.sort(key=lambda rec: order_key(rec.energy, rec.lam, rec.m))
+    multiplets.sort(key=lambda rec: order_key(rec.energy, rec.lam))
     report.bethe = multiplets
 
     for rec in multiplets:
