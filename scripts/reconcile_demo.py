@@ -30,11 +30,10 @@ def main():
 
     print(f"spin {spin}, L = {args.length}, sectors up to m = {args.m_max}")
     print(f"{'m':>3} {'energy':>16} {'mult':>5} {'max gap':>10}  roots")
-    for rec in report.bethe:
+    # report.matches holds one entry per multiplet, in the order of report.bethe
+    for rec, match in zip(report.bethe, report.matches):
         roots = ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in rec.lam)
         tag = "  (singular pair)" if rec.singular else ""
-        match = next(x for x in report.matches
-                     if x["m"] == rec.m and abs(x["energy"] - rec.energy.real) < 1e-9)
         print(f"{rec.m:>3} {rec.energy.real:>16.10f} {rec.multiplicity:>5} "
               f"{match['max_gap']:>10.2e}  [{roots}]{tag}")
     print(f"matched {report.matched_levels} / {report.total_levels} ED levels "

@@ -29,13 +29,11 @@ from .hamiltonian import (
     ChainHamiltonian,
     beta,
     build_beta_table,
-    chain_h,
     check_beta_recursions,
     local_h,
 )
 from .hilbert import (
     SectorBasis,
-    apply_chain_h_in_sector,
     coords_to_vector,
     sector_basis,
     sector_s_minus,

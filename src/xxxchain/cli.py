@@ -19,7 +19,7 @@ from . import hilbert, verify
 from .bethe import build_bethe_state
 from .errors import ChainError, InputRangeError, ResourceCapError
 from .hamiltonian import ChainHamiltonian, build_beta_table, local_h
-from .solver import SolverOptions, solve_sector
+from .solver import STRATEGIES, SolverOptions, solve_sector
 from .su2 import DEFAULT_CAP, Spin
 
 EXIT_OK = 0
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("solve", help="solve the Bethe equations in one sector")
     _add_common(sub, "length", "cap", "sector", "tolerances", "seed")
     sub.add_argument("--strategy", action="append",
-                     choices=("free-momenta", "two-string", "strings", "random"),
+                     choices=STRATEGIES,
                      help="seeding strategy (repeatable; default: all)")
     sub.set_defaults(func=cmd_solve)
 

@@ -227,7 +227,3 @@ class ChainHamiltonian:
             shape=(len(basis), len(basis))))
         self._sector_cache[m] = mat
         return mat
-
-
-def chain_h(spin: Spin, length: int, cap: int = DEFAULT_CAP) -> ChainHamiltonian:
-    return ChainHamiltonian(spin, length, cap=cap)

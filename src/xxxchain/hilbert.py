@@ -101,18 +101,6 @@ def sector_basis(spin: Spin, length: int, m: int) -> SectorBasis:
     return SectorBasis(spin, length, m, occ)
 
 
-def sector_dimension(spin: Spin, length: int, m: int) -> int:
-    return len(sector_basis(spin, length, m))
-
-
-def full_index(occ, dim: int) -> int:
-    """First-site-major index of an occupation tuple in the full space."""
-    idx = 0
-    for digit in occ:
-        idx = idx * dim + digit
-    return idx
-
-
 def embed_sector_vector(basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
     """Lift a sector vector to the full (2s+1)^L space."""
     out = np.zeros(basis.spin.dim**basis.length, dtype=complex)
@@ -186,13 +174,3 @@ def sector_s_minus(spin: Spin, length: int, m: int) -> sp.csr_matrix:
 def sector_s_plus(spin: Spin, length: int, m: int) -> sp.csr_matrix:
     """S^+ block mapping the m sector to the (m-1) sector."""
     return _ladder_block(spin, length, m, -1)
-
-
-def apply_chain_h_in_sector(hamiltonian, basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
-    """Apply the chain Hamiltonian inside one fixed-m sector."""
-    if hamiltonian.spin != basis.spin or hamiltonian.length != basis.length:
-        raise ValueError("Hamiltonian and basis describe different chains")
-    vec = np.asarray(vec)
-    if vec.shape[0] != len(basis):
-        raise ValueError(f"vector has dimension {vec.shape[0]}, sector has {len(basis)}")
-    return hamiltonian.sector_matrix(basis.m) @ vec

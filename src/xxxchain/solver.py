@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,8 @@ DESCENDANT_CUTOFF = 1e8
 DEGENERACY_TOL = 1e-6
 SINGULAR_PROXIMITY_TOL = 1e-2
 DEFLATION_TOL = 1e-6
+# seeding strategies, in the order solve_sector runs them by default
+STRATEGIES = ("free-momenta", "strings", "random")
 # the random strategy draws n_random seeds at each multiple of random_scale
 RANDOM_SCALE_SWEEP = (0.5, 1.0, 2.5)
 
@@ -55,7 +57,7 @@ class SolverOptions:
     n_random: int = 64
     random_scale: float = 1.5
     seed: int = 0
-    strategies: tuple = ("free-momenta", "two-string", "strings", "random")
+    strategies: tuple = STRATEGIES
 
     def __post_init__(self):
         for name in ("tol_newton", "tol_match"):
@@ -69,6 +71,15 @@ class SolverOptions:
                 raise InputRangeError(f"{name} must be positive, got {value!r}")
         if self.max_iter < 1:
             raise InputRangeError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if self.n_random < 0:
+            raise InputRangeError(f"n_random must be non-negative, got {self.n_random!r}")
+        if not 0.0 < self.random_scale < math.inf:
+            raise InputRangeError(
+                f"random_scale must be finite and positive, got {self.random_scale!r}")
+        for strategy in self.strategies:
+            if strategy not in STRATEGIES:
+                raise InputRangeError(
+                    f"unknown seeding strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
 @dataclass
@@ -347,33 +358,17 @@ def _partitions(m: int, maxpart: int = None):
 
 def seed_catalog(system: BetheSystem, strategy: str, rng=None,
                  n_random: int = 64, random_scale: float = 1.5) -> list:
-    """Initial rapidity sets for one of the strategies
-    {free-momenta, two-string, strings, random}."""
+    """Initial rapidity sets for one of the STRATEGIES."""
     spin, length, m = system.spin, system.length, system.m
     if m == 0:
         return []
-    singles = free_momenta_rapidities(spin, length)
     if strategy == "free-momenta":
+        singles = free_momenta_rapidities(spin, length)
         return [np.array(combo, dtype=complex) for combo in combinations(singles, m)]
-    if strategy == "two-string":
-        if m < 2:
-            return []
-        seeds = []
-        for c in _string_centers(spin, length):
-            # widths off the ideal i/2: the exact-width configuration is an
-            # invariant manifold of the Newton map that drains into the poles
-            for width in (0.44, 0.57):
-                pair = [c + 1j * width, c - 1j * width]
-                if m == 2:
-                    seeds.append(np.array(pair, dtype=complex))
-                else:
-                    far = [z for z in singles if abs(z - c) > 0.3]
-                    for rest in combinations(far, m - 2):
-                        seeds.append(np.array(pair + list(rest), dtype=complex))
-        return seeds
     if strategy == "strings":
-        # string-hypothesis seeds: split m into strings with spacing ~i,
-        # one center per string, centers drawn from the quantization grid
+        # string-hypothesis seeds: split m into strings with spacing ~i, one
+        # centre per string from the quantization grid, distinct centres for
+        # strings of one length, so each unordered placement is listed once
         centers = _string_centers(spin, length)
         seeds = []
         for part in _partitions(m):
@@ -381,18 +376,16 @@ def seed_catalog(system: BetheSystem, strategy: str, rng=None,
                 continue  # identical to free-momenta
             # placements grow like centers^len(part); coarsen for many strings
             grid = centers if len(part) <= 2 else centers[::2]
-            stack = [(0, [])]
-            while stack:
-                idx, chosen = stack.pop()
-                if idx == len(part):
-                    for stretch in (0.88, 1.14):
-                        lam = []
-                        for n, c in chosen:
-                            lam += [c + 0.5j * stretch * (n - 1 - 2 * a) for a in range(n)]
+            sizes = sorted(set(part), reverse=True)
+            for placement in product(*(combinations(grid, part.count(n)) for n in sizes)):
+                # widths off the ideal i/2: the exact-width configuration is an
+                # invariant manifold of the Newton map that drains into the poles
+                for stretch in (0.88, 1.14):
+                    lam = [c + 0.5j * stretch * (n - 1 - 2 * a)
+                           for n, cs in zip(sizes, placement) for c in cs for a in range(n)]
+                    # two strings of one parity on one centre share a root
+                    if len(set(lam)) == m:
                         seeds.append(np.array(lam, dtype=complex))
-                    continue
-                for c in grid:
-                    stack.append((idx + 1, chosen + [(part[idx], c)]))
         return seeds
     if strategy == "random":
         if rng is None:
@@ -401,7 +394,7 @@ def seed_catalog(system: BetheSystem, strategy: str, rng=None,
             rng.normal(scale=random_scale, size=m) + 1j * rng.normal(scale=random_scale, size=m)
             for _ in range(n_random)
         ]
-    raise ValueError(f"unknown seeding strategy {strategy!r}")
+    raise InputRangeError(f"unknown seeding strategy {strategy!r}")
 
 
 def sector_seeds(system: BetheSystem, opts: SolverOptions) -> np.ndarray:
@@ -425,29 +418,18 @@ class DeflationRegistry:
         self.tol = tol
         self._fingerprints = None  # one registered set per row
 
-    @staticmethod
-    def _fingerprint(lam) -> np.ndarray:
-        return np.poly(np.atleast_1d(np.asarray(lam, dtype=complex)))[1:]
-
-    def _seen(self, fp: np.ndarray) -> bool:
-        refs = self._fingerprints
-        if refs is None:
-            return False
-        # the set and its conjugate against every registered set at once
-        cands = np.stack((fp, np.conj(fp)))[:, None, :]
-        close = np.abs(cands - refs) <= self.tol * (1.0 + np.abs(refs))
-        return bool(close.all(axis=2).any())
-
-    def seen(self, lam) -> bool:
-        return self._seen(self._fingerprint(lam))
-
     def add(self, lam) -> bool:
         """Register a root set; returns False if it was already present."""
-        fp = self._fingerprint(lam)
-        if self._seen(fp):
-            return False
+        fp = np.poly(np.atleast_1d(np.asarray(lam, dtype=complex)))[1:]
         refs = self._fingerprints
-        self._fingerprints = fp[None] if refs is None else np.vstack((refs, fp))
+        if refs is None:
+            self._fingerprints = fp[None]
+            return True
+        # the set and its conjugate against every registered set at once
+        cands = np.stack((fp, np.conj(fp)))[:, None, :]
+        if (np.abs(cands - refs) <= self.tol * (1.0 + np.abs(refs))).all(axis=2).any():
+            return False
+        self._fingerprints = np.vstack((refs, fp))
         return True
 
 
@@ -497,10 +479,8 @@ def order_key(energy: complex, lam) -> tuple:
 
 def _settle(system: BetheSystem, lam: np.ndarray, iterations: int,
             hamiltonian: ChainHamiltonian, registry: Optional[DeflationRegistry]):
-    """Classification, deflation, state build and certificate of one Newton root."""
-    reason = classify_roots(lam, system)
-    if reason is not None:
-        raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
+    """Deflation, state build and certificate of one Newton root that
+    `classify_roots` accepts."""
     if registry is not None and not registry.add(lam):
         raise NewtonFailureError("duplicate", "root set already deflated")
     try:
@@ -517,6 +497,9 @@ def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(system.spin, system.length)
     lam, iterations = newton_solve(system, seed, tol=opts.tol_newton, max_iter=opts.max_iter)
+    reason = classify_roots(lam, system)
+    if reason is not None:
+        raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
     return _settle(system, lam, iterations, hamiltonian, registry)
 
 
@@ -550,7 +533,8 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     registry = DeflationRegistry()
     certs = []
     for lam, its, failure in zip(roots, iterations, failures):
-        if failure is not None:
+        # a rejected root is dropped without formatting solve_newton's message
+        if failure is not None or classify_roots(lam, system) is not None:
             continue
         try:
             cert = _settle(system, lam, int(its), hamiltonian, registry)

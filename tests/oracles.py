@@ -165,6 +165,15 @@ def newton_loop(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 8
     raise NewtonFailureError("max-iter", f"residual {best:.3e} after {max_iter} iterations")
 
 
+def full_index(occ, dim: int) -> int:
+    """First-site-major index of an occupation tuple in the full space, one
+    digit at a time."""
+    idx = 0
+    for digit in occ:
+        idx = idx * dim + digit
+    return idx
+
+
 def kron_site_operator(op, length, site, dim):
     return np.kron(np.kron(np.eye(dim**site), op), np.eye(dim ** (length - site - 1)))
 

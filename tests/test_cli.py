@@ -120,9 +120,10 @@ def test_solve_residuals_below_threshold():
         assert cert["hw_residual"] < 1e-8
 
 
-def test_solve_two_string_strategy_yields_conjugate_pairs():
+def test_solve_strings_strategy_yields_conjugate_pairs():
     code, out, _ = run_cli("solve", "--spin", "1", "-L", "4", "-m", "2",
-                           "--strategy", "two-string")
+                           "--strategy", "strings")
+    assert code == 0
     payload = json.loads(out)
     strings = [c for c in payload["certificates"]
                if max(abs(z[1]) for z in c["lambda"]) > 0.1]
@@ -211,6 +212,12 @@ def test_bad_seed_and_cap_are_usage_errors(monkeypatch):
     code, out, err = run_cli("chain-h", "--spin", "1/2", "-L", "2",
                              env={"BETHE_CAP": "lots"}, monkeypatch=monkeypatch)
     assert code == 2 and not out and "BETHE_CAP" in err
+
+
+def test_unknown_strategy_is_usage_error():
+    code, out, err = run_cli("solve", "--spin", "1", "-L", "4", "-m", "2",
+                             "--strategy", "two-string")
+    assert code == 2 and not out and "--strategy" in err
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -9,7 +9,6 @@ from xxxchain.hamiltonian import (
     beta,
     beta_window,
     build_beta_table,
-    chain_h,
     check_beta_recursions,
     local_h,
 )
@@ -103,7 +102,7 @@ def test_check_beta_recursions():
 
 
 def test_chain_spectrum_spin_half_L2():
-    ham = chain_h(Spin(1), 2)
+    ham = ChainHamiltonian(Spin(1), 2)
     vals = np.linalg.eigvalsh(ham.dense())
     assert np.allclose(vals, [-4.0, 0.0, 0.0, 0.0], atol=1e-12)
 

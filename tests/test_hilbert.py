@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_chain_hamiltonian, kron_site_operator
+from oracles import full_index, kron_chain_hamiltonian, kron_site_operator
 from xxxchain import hilbert
 from xxxchain.errors import InputRangeError
 from xxxchain.hamiltonian import ChainHamiltonian
@@ -90,7 +90,7 @@ def test_full_indices_ascending_and_first_site_major():
         for m in range(spin.two_s * length + 1):
             basis = hilbert.sector_basis(spin, length, m)
             assert np.all(np.diff(basis.full_indices) > 0)
-            assert list(basis.full_indices) == [hilbert.full_index(occ, spin.dim)
+            assert list(basis.full_indices) == [full_index(occ, spin.dim)
                                                 for occ in basis.states]
             seen.extend(basis.full_indices)
         assert sorted(seen) == list(range(spin.dim**length))
@@ -109,8 +109,8 @@ def test_full_index_int64_boundary():
 
 
 def test_full_index_first_site_major():
-    assert hilbert.full_index((1, 0, 0), 3) == 9
-    assert hilbert.full_index((0, 0, 2), 3) == 2
+    assert full_index((1, 0, 0), 3) == 9
+    assert full_index((0, 0, 2), 3) == 2
 
 
 def test_coords_to_vector_single():
@@ -163,9 +163,9 @@ def test_sector_apply_matches_full_space():
     ham = ChainHamiltonian(spin, length)
     basis = hilbert.sector_basis(spin, length, m)
     vec = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    inside = hilbert.apply_chain_h_in_sector(ham, basis, vec)
+    inside = ham.sector_matrix(m) @ vec
     full = ham.apply(hilbert.embed_sector_vector(basis, vec))
-    back = np.array([full[hilbert.full_index(occ, spin.dim)] for occ in basis.states])
+    back = np.array([full[full_index(occ, spin.dim)] for occ in basis.states])
     assert np.max(np.abs(inside - back)) < 1e-13
     # no leakage outside the sector
     assert abs(np.linalg.norm(full) ** 2 - np.linalg.norm(back) ** 2) < 1e-14 * np.linalg.norm(full) ** 2
@@ -174,8 +174,7 @@ def test_sector_apply_matches_full_space():
 def test_sector_apply_m0():
     spin, length = Spin(2), 3
     ham = ChainHamiltonian(spin, length)
-    basis = hilbert.sector_basis(spin, length, 0)
-    out = hilbert.apply_chain_h_in_sector(ham, basis, np.ones(1))
+    out = ham.sector_matrix(0) @ np.ones(1)
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -187,19 +186,10 @@ def test_sector_apply_linearity():
     v = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     w = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     a, b = 0.3 - 1.1j, -2.2 + 0.7j
-    lhs = hilbert.apply_chain_h_in_sector(ham, basis, a * v + b * w)
-    rhs = a * hilbert.apply_chain_h_in_sector(ham, basis, v) + b * hilbert.apply_chain_h_in_sector(ham, basis, w)
+    h = ham.sector_matrix(m)
+    lhs = h @ (a * v + b * w)
+    rhs = a * (h @ v) + b * (h @ w)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_sector_apply_dimension_mismatch():
-    ham = ChainHamiltonian(Spin(1), 4)
-    basis = hilbert.sector_basis(Spin(1), 4, 2)
-    with pytest.raises(ValueError):
-        hilbert.apply_chain_h_in_sector(ham, basis, np.ones(3))
-    other = hilbert.sector_basis(Spin(1), 5, 2)
-    with pytest.raises(ValueError):
-        hilbert.apply_chain_h_in_sector(ham, other, np.ones(len(other)))
 
 
 def test_sector_ladder_blocks_are_adjoint():

@@ -219,14 +219,27 @@ def test_seed_catalog_counts():
     assert len(seed_catalog(system, "free-momenta")) == 3  # n = 1..L-1
     system = BetheSystem(Spin(1), 4, 2)
     assert len(seed_catalog(system, "free-momenta")) == 3  # C(3, 2)
-    strings = seed_catalog(system, "two-string")
-    assert strings
-    for seed in strings:
-        assert np.max(np.abs(np.sort(seed.imag) - np.sort(-seed.imag))) < 1e-12
+    for m in (2, 3, 4):
+        strings = seed_catalog(BetheSystem(Spin(1), 4, m), "strings")
+        assert strings
+        for seed in strings:  # every string is centred on the real axis
+            assert np.max(np.abs(np.sort(seed.imag) - np.sort(-seed.imag))) < 1e-12
     rng = np.random.default_rng(0)
     assert len(seed_catalog(system, "random", rng=rng, n_random=17)) == 17
-    with pytest.raises(ValueError):
+    with pytest.raises(InputRangeError):
         seed_catalog(system, "bogus")
+
+
+def test_string_seeds_list_each_placement_once():
+    # strings of one length take distinct centres, and two strings of one
+    # parity on one centre (which would share a root) are left out
+    for two_s, length, m in ((2, 5, 5), (3, 4, 6)):
+        seeds = seed_catalog(BetheSystem(Spin(two_s), length, m), "strings")
+        keys = [tuple(sorted((round(z.real, 9), round(z.imag, 9)) for z in seed))
+                for seed in seeds]
+        assert seeds and all(len(seed) == m for seed in seeds)
+        assert len(set(keys)) == len(keys), (two_s, length, m)
+        assert all(len(set(key)) == m for key in keys), (two_s, length, m)
 
 
 def test_free_momenta_rapidities():
@@ -288,9 +301,14 @@ def test_solve_sector_stops_at_the_equator():
 def test_solver_options_validation():
     for bad in ({"tol_newton": math.nan}, {"tol_newton": math.inf}, {"tol_newton": 0.0},
                 {"tol_match": -1e-7}, {"tol_eigen": math.nan}, {"tol_hw": 0.0},
-                {"max_iter": 0}):
+                {"max_iter": 0}, {"n_random": -1}, {"random_scale": 0.0},
+                {"random_scale": -1.5}, {"random_scale": math.nan},
+                {"random_scale": math.inf}, {"strategies": ("two-string",)},
+                {"strategies": ("free-momenta", "bogus")}):
         with pytest.raises(InputRangeError):
             SolverOptions(**bad)
+    assert SolverOptions().strategies == solver.STRATEGIES
+    SolverOptions(n_random=0, strategies=("random", "strings"))
     SolverOptions(tol_eigen=math.inf, tol_hw=math.inf)  # switches those filters off
     with pytest.raises(InputRangeError):
         solve_sector(Spin(1), 4, -1)

@@ -1,0 +1,72 @@
+"""The scripts under scripts/ and the package's declared minimum Python."""
+
+import glob
+import io
+import json
+import os
+import runpy
+import shutil
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from test_cli import validate
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "xxxchain"
+RECONCILE_DEMO = ROOT / "scripts" / "reconcile_demo.py"
+
+
+def run_script(path, *args, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+def test_reconcile_demo_rows_show_their_own_match(monkeypatch):
+    # spin 1/2, L=6 has degenerate multiplets (same m and energy) whose
+    # matches differ in max_gap
+    args = ("--spin", "1/2", "-L", "6", "-m", "6")
+    payload = json.loads(run_script(RECONCILE_DEMO, *args, "--json", monkeypatch=monkeypatch))
+    validate("reconcile", payload)
+    lines = run_script(RECONCILE_DEMO, *args, monkeypatch=monkeypatch).splitlines()
+    rows = [line.split()[:4] for line in lines[2:] if line.lstrip()[:1].isdigit()]
+    assert len(rows) == len(payload["matches"]) == len(payload["bethe"])
+    for (m, energy, mult, gap), match in zip(rows, payload["matches"]):
+        assert (int(m), int(mult)) == (match["m"], match["multiplicity"])
+        assert energy == f"{match['energy']:.10f}"
+        assert gap == f"{match['max_gap']:.2e}"
+
+
+def _python310():
+    """A Python 3.10 interpreter from PATH or pyenv, or None."""
+    candidates = [shutil.which("python3.10"),
+                  *sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.10.*/bin/python3.10")))]
+    for exe in filter(None, candidates):
+        try:
+            proc = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+                                  capture_output=True, text=True, timeout=60)
+        except OSError:
+            continue
+        if proc.stdout.strip() == "True":
+            return exe
+    return None
+
+
+def test_package_compiles_on_python_310(tmp_path):
+    # pyproject.toml declares requires-python >= 3.10
+    exe = _python310()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    sources = sorted(PACKAGE.glob("*.py"))
+    code = ("import py_compile, sys\n"
+            "for src, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    py_compile.compile(src, cfile=out, doraise=True)\n")
+    args = [arg for i, src in enumerate(sources) for arg in (str(src), str(tmp_path / f"{i}.pyc"))]
+    proc = subprocess.run([exe, "-c", code, *args], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

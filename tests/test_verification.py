@@ -110,6 +110,18 @@ def test_reconcile_spin_half_L4_complete():
     assert len(singular) == 1 and abs(singular[0].energy + 2.0) < 1e-12
 
 
+# matched / total ED levels of reconcile_spectrum over all sectors, as
+# recorded in the completeness table before the string seeds were deduplicated
+RECONCILE_COMPLETENESS = {(1, 6): (63, 64), (2, 3): (26, 27), (2, 4): (77, 81),
+                          (3, 3): (58, 64)}
+
+
+def test_reconcile_completeness_is_pinned():
+    for (two_s, length), expected in RECONCILE_COMPLETENESS.items():
+        report = reconcile_spectrum(Spin(two_s), length, two_s * length)
+        assert (report.matched_levels, report.total_levels) == expected, (two_s, length)
+
+
 def test_reconcile_spin1_L3_reports_deficit():
     report = reconcile_spectrum(Spin(2), 3, 3)
     assert report.total_levels == 27
