@@ -56,13 +56,17 @@ def lambda_to_k(lam, spin: Spin):
     return -1j * np.log(u)
 
 
-def sigma_u(u, v, spin: Spin):
-    """Scattering matrix in shift-eigenvalue variables, eqn-level convention."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+def _sigma_terms(u, v, spin: Spin) -> tuple:
+    """Numerator and denominator of sigma_u(u, v) = -num / den."""
     two_s = spin.two_s
     num = u * v + (two_s - 1) * u - (two_s + 1) * v + 1.0
     den = u * v + (two_s - 1) * v - (two_s + 1) * u + 1.0
+    return num, den
+
+
+def sigma_u(u, v, spin: Spin):
+    """Scattering matrix in shift-eigenvalue variables, eqn-level convention."""
+    num, den = _sigma_terms(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex), spin)
     if np.min(np.abs(den)) < SIGMA_DENOM_TOL:
         raise SingularScatteringError("scattering denominator vanishes for this pair")
     return -num / den
@@ -94,11 +98,11 @@ def _check_momenta(u: np.ndarray):
 
 
 def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
-    """Factor (j, k) of the closed-form amplitude for the ordered pair
-    (u_j, u_k); A_P is the product of factor[P_j, P_k] over j < k."""
-    diff = u[:, None] - u[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return 1.0 - np.outer(u - 1.0, u - 1.0) / (spin.two_s * diff)
+    """Factor (j, k) of the closed-form amplitude for the ordered pair (u_j, u_k)
+    of the last axis of u; A_P is the product of factor[..., P_j, P_k] over j < k."""
+    # the diagonal u_j - u_j is exactly 0, so adding the identity sets it to 1
+    diff = u[..., :, None] - u[..., None, :] + np.eye(u.shape[-1])
+    return 1.0 - (u - 1.0)[..., :, None] * (u - 1.0)[..., None, :] / (spin.two_s * diff)
 
 
 def amplitude_AP(perm, k, spin: Spin) -> complex:
@@ -124,23 +128,25 @@ def amplitude_a(x, k, spin: Spin) -> complex:
     return complex(_plane_wave_sum(np.array([x], dtype=np.intp), u, spin)[0][0])
 
 
-def energy_k(k, spin: Spin) -> complex:
-    """E = -(1/2s) sum_j (2 - e^{ik_j} - e^{-ik_j})."""
-    k = np.asarray(k, dtype=complex)
+def energy_k(k, spin: Spin):
+    """E = -(1/2s) sum_j (2 - e^{ik_j} - e^{-ik_j}), summed over the last axis."""
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
     if k.size == 0:
         return 0.0 + 0.0j
     u = np.exp(1j * k)
-    return complex(-np.sum(2.0 - u - 1.0 / u) / spin.two_s)
+    energy = -np.sum(2.0 - u - 1.0 / u, axis=-1) / spin.two_s
+    return complex(energy) if energy.ndim == 0 else energy
 
 
-def energy_lambda(lam, spin: Spin) -> complex:
-    """E = -sum_j 2s/(lambda_j^2 + s^2)."""
-    lam = np.asarray(lam, dtype=complex)
+def energy_lambda(lam, spin: Spin):
+    """E = -sum_j 2s/(lambda_j^2 + s^2), summed over the last axis."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     if lam.size == 0:
         return 0.0 + 0.0j
     if min(np.min(np.abs(lam - 1j * spin.s)), np.min(np.abs(lam + 1j * spin.s))) < POLE_TOL:
         raise PoleError("rapidity at a pole of the energy")
-    return complex(-np.sum(spin.two_s / (lam**2 + spin.s**2)))
+    energy = -np.sum(spin.two_s / (lam**2 + spin.s**2), axis=-1)
+    return complex(energy) if energy.ndim == 0 else energy
 
 
 @dataclass

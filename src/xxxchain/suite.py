@@ -94,59 +94,65 @@ def local_h_commutators(seed=0):
     return _check("local-h-commutators", worst, 1e-12)
 
 
+def _draw_accepted(rng, samples, shape, accept):
+    """`samples` rows re + i*im, (re, im) drawn as rng.normal(size=shape), that
+    the row mask `accept(rows)` passes.  The generator fills arrays in order, so
+    rows and rng end as in a loop drawing one row at a time until `samples` pass."""
+    kept = np.empty((0, *shape[1:]), dtype=complex)
+    while len(kept) < samples:
+        draws = rng.normal(size=(samples - len(kept), *shape))
+        rows = draws[:, 0] + 1j * draws[:, 1]
+        kept = np.concatenate([kept, rows[accept(rows)]])
+    return kept
+
+
+def _off_poles(rows, poles):
+    """Row mask: every entry of the row at least 1e-2 from every pole."""
+    return np.all(np.abs(rows[..., None] - np.asarray(poles)) >= 1e-2, axis=(1, 2))
+
+
 def sigma_consistency(seed=0, samples=300):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = []
     for spin in LOCAL_SPINS:
-        count = 0
-        while count < samples:
-            u, v, w = rng.normal(size=3) + 1j * rng.normal(size=3)
-            try:
-                suv, svu = bethe.sigma_u(u, v, spin), bethe.sigma_u(v, u, spin)
-                suw, svw = bethe.sigma_u(u, w, spin), bethe.sigma_u(v, w, spin)
-            except bethe.SingularScatteringError:
-                continue
-            count += 1
-            worst = max(worst, abs(suv * svu - 1.0))
-            worst = max(worst, abs(suv * suw * svw - svw * suw * suv))
-    return _check("sigma-unitarity-braid", worst, 1e-12)
+        def regular(rows):
+            u, v, w = rows.T
+            return np.all([np.abs(bethe._sigma_terms(a, b, spin)[1]) >= bethe.SIGMA_DENOM_TOL
+                           for a, b in ((u, v), (v, u), (u, w), (v, w))], axis=0)
+
+        u, v, w = _draw_accepted(rng, samples, (2, 3), regular).T
+        suv, svu = bethe.sigma_u(u, v, spin), bethe.sigma_u(v, u, spin)
+        suw, svw = bethe.sigma_u(u, w, spin), bethe.sigma_u(v, w, spin)
+        worst += [np.abs(suv * svu - 1.0), np.abs(suv * suw * svw - svw * suw * suv)]
+    return _check("sigma-unitarity-braid", np.max(worst, initial=0.0), 1e-12)
 
 
 def sigma_rapidity_form(seed=0, samples=200):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    count = 0
-    while count < samples:
-        lam, mu = rng.normal(size=2) + 1j * rng.normal(size=2)
-        if abs(lam - mu + 1j) < 1e-2 or abs(lam - mu - 1j) < 1e-2:
-            continue
-        count += 1
-        target = (lam - mu - 1j) / (lam - mu + 1j)
-        for spin in LOCAL_SPINS:
-            if min(abs(lam - 1j * spin.s), abs(lam + 1j * spin.s),
-                   abs(mu - 1j * spin.s), abs(mu + 1j * spin.s)) < 1e-2:
-                continue
-            val = bethe.sigma_u(bethe.u_from_lambda(lam, spin),
-                                bethe.u_from_lambda(mu, spin), spin)
-            # |target| grows to ~100 near the pole lambda - mu = -i, so the
-            # error is bounded relative to its scale
-            worst = max(worst, abs(val - target) / max(1.0, abs(target)))
-    return _check("sigma-rapidity-form", worst, 1e-12)
+    pairs = _draw_accepted(rng, samples, (2, 2),
+                           lambda rows: _off_poles(rows[:, :1] - rows[:, 1:], (-1j, 1j)))
+    lam, mu = pairs.T
+    target = bethe.sigma_lambda(lam, mu)
+    worst = []
+    for spin in LOCAL_SPINS:
+        keep = _off_poles(pairs, (1j * spin.s, -1j * spin.s))
+        val = bethe.sigma_u(bethe.u_from_lambda(lam[keep], spin),
+                            bethe.u_from_lambda(mu[keep], spin), spin)
+        # |target| grows to ~100 near the pole lambda - mu = -i, so the
+        # error is bounded relative to its scale
+        worst.append(np.abs(val - target[keep]) / np.maximum(1.0, np.abs(target[keep])))
+    return _check("sigma-rapidity-form", np.max(np.concatenate(worst), initial=0.0), 1e-12)
 
 
 def energy_forms(seed=0, samples=200):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = []
     for spin in LOCAL_SPINS:
-        count = 0
-        while count < samples:
-            lam = rng.normal(size=3) + 1j * rng.normal(size=3)
-            if min(np.min(np.abs(lam - 1j * spin.s)), np.min(np.abs(lam + 1j * spin.s))) < 1e-2:
-                continue
-            count += 1
-            k = bethe.lambda_to_k(lam, spin)
-            worst = max(worst, abs(bethe.energy_lambda(lam, spin) - bethe.energy_k(k, spin)))
-    return _check("energy-form-equality", worst, 1e-12)
+        poles = (1j * spin.s, -1j * spin.s)
+        lam = _draw_accepted(rng, samples, (2, 3), lambda rows: _off_poles(rows, poles))
+        k = bethe.lambda_to_k(lam, spin)
+        worst.append(np.abs(bethe.energy_lambda(lam, spin) - bethe.energy_k(k, spin)))
+    return _check("energy-form-equality", np.max(worst, initial=0.0), 1e-12)
 
 
 def dispersion(seed=0):
@@ -165,21 +171,28 @@ def dispersion(seed=0):
 
 def exchange_relation(seed=0, samples=40):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = []
     for spin in LOCAL_SPINS:
+        # draws mix integers and normals of varying m: drawn singly, evaluated per m
+        drawn = {}
         for _ in range(samples):
             m = int(rng.integers(2, 5))
             k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
-            u = np.exp(1j * k)
             perms = bethe.permutations_of(m)
             perm = perms[rng.integers(len(perms))]
-            j = int(rng.integers(m - 1))
-            swapped = list(perm)
-            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            lhs = bethe.amplitude_AP(tuple(swapped), k, spin)
-            rhs = bethe.sigma_u(u[perm[j]], u[perm[j + 1]], spin) * bethe.amplitude_AP(perm, k, spin)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    return _check("amplitude-exchange-relation", worst, 1e-12)
+            drawn.setdefault(m, []).append((k, perm, int(rng.integers(m - 1))))
+        for m, group in drawn.items():
+            k, perm, j = (np.array(col) for col in zip(*group))
+            rows, u = np.arange(len(group))[:, None], np.exp(1j * k)
+            pair = np.stack([j, j + 1], axis=1)
+            swapped = perm.copy()
+            swapped[rows, pair] = perm[rows, pair[:, ::-1]]
+            factor, (first, second) = bethe._pair_factors(u, spin), np.triu_indices(m, 1)
+            lhs, amp = (np.prod(factor[rows, p[:, first], p[:, second]], axis=1)
+                        for p in (swapped, perm))
+            rhs = bethe.sigma_u(*u[rows, perm[rows, pair]].T, spin) * amp
+            worst.append(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30))
+    return _check("amplitude-exchange-relation", np.max(np.concatenate(worst)), 1e-12)
 
 
 def coinciding_constraint(seed=0, samples=30):

@@ -5,7 +5,8 @@ package code paths it checks: dense Kronecker products instead of axis-moved
 tensor contractions, the exchange recursion instead of the closed amplitude
 product, a scalar permutation loop instead of the blocked plane-wave kernel,
 centered finite differences instead of the analytic Jacobian, one Newton run
-per seed instead of the lockstep batch.
+per seed instead of the lockstep batch, one scalar kernel call per sample
+instead of the suite's array-drawn sampled checks.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from xxxchain import bethe
 from xxxchain.errors import NewtonFailureError
 from xxxchain.solver import BetheSystem, bethe_residual, jacobian, scaled_residual
 from xxxchain.su2 import Spin
+from xxxchain.suite import LOCAL_SPINS, _check
 
 
 def reduced_word(perm, reverse_scan=False):
@@ -214,3 +216,90 @@ def spectrum_with_multiplicities(values, tol=1e-8):
         else:
             groups.append([v, 1])
     return [(v, c) for v, c in groups]
+
+
+def draw_loop(rng, samples, size, accept):
+    """Rows rng.normal(size) + 1j * rng.normal(size), drawn one at a time until
+    `samples` pass accept(row): the draw loop of the scalar sampled checks."""
+    rows = []
+    while len(rows) < samples:
+        row = rng.normal(size=size) + 1j * rng.normal(size=size)
+        if accept(row):
+            rows.append(row)
+    return np.array(rows)
+
+
+# The sampled invariant checks of `xxxchain verify` as scalar loops, one
+# kernel call per sample.
+
+
+def sigma_consistency_loop(seed=0, samples=300):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for spin in LOCAL_SPINS:
+        count = 0
+        while count < samples:
+            u, v, w = rng.normal(size=3) + 1j * rng.normal(size=3)
+            try:
+                suv, svu = bethe.sigma_u(u, v, spin), bethe.sigma_u(v, u, spin)
+                suw, svw = bethe.sigma_u(u, w, spin), bethe.sigma_u(v, w, spin)
+            except bethe.SingularScatteringError:
+                continue
+            count += 1
+            worst = max(worst, abs(suv * svu - 1.0))
+            worst = max(worst, abs(suv * suw * svw - svw * suw * suv))
+    return _check("sigma-unitarity-braid", worst, 1e-12)
+
+
+def sigma_rapidity_form_loop(seed=0, samples=200):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    count = 0
+    while count < samples:
+        lam, mu = rng.normal(size=2) + 1j * rng.normal(size=2)
+        if abs(lam - mu + 1j) < 1e-2 or abs(lam - mu - 1j) < 1e-2:
+            continue
+        count += 1
+        target = (lam - mu - 1j) / (lam - mu + 1j)
+        for spin in LOCAL_SPINS:
+            if min(abs(lam - 1j * spin.s), abs(lam + 1j * spin.s),
+                   abs(mu - 1j * spin.s), abs(mu + 1j * spin.s)) < 1e-2:
+                continue
+            val = bethe.sigma_u(bethe.u_from_lambda(lam, spin),
+                                bethe.u_from_lambda(mu, spin), spin)
+            worst = max(worst, abs(val - target) / max(1.0, abs(target)))
+    return _check("sigma-rapidity-form", worst, 1e-12)
+
+
+def energy_forms_loop(seed=0, samples=200):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for spin in LOCAL_SPINS:
+        count = 0
+        while count < samples:
+            lam = rng.normal(size=3) + 1j * rng.normal(size=3)
+            if min(np.min(np.abs(lam - 1j * spin.s)), np.min(np.abs(lam + 1j * spin.s))) < 1e-2:
+                continue
+            count += 1
+            k = bethe.lambda_to_k(lam, spin)
+            worst = max(worst, abs(bethe.energy_lambda(lam, spin) - bethe.energy_k(k, spin)))
+    return _check("energy-form-equality", worst, 1e-12)
+
+
+def exchange_relation_loop(seed=0, samples=40):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for spin in LOCAL_SPINS:
+        for _ in range(samples):
+            m = int(rng.integers(2, 5))
+            k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+            u = np.exp(1j * k)
+            perms = bethe.permutations_of(m)
+            perm = perms[rng.integers(len(perms))]
+            j = int(rng.integers(m - 1))
+            swapped = list(perm)
+            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+            lhs = bethe.amplitude_AP(tuple(swapped), k, spin)
+            rhs = bethe.sigma_u(u[perm[j]], u[perm[j + 1]], spin) * bethe.amplitude_AP(perm, k, spin)
+            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+    return _check("amplitude-exchange-relation", worst, 1e-12)

@@ -346,6 +346,28 @@ def test_energy_examples():
         bethe.energy_lambda([1j], Spin(2))
 
 
+def test_energy_kernels_reduce_over_the_last_axis():
+    rng = np.random.default_rng(5)
+    for spin in SPINS:
+        lam = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        k = bethe.lambda_to_k(lam, spin)
+        for kernel, arg in ((bethe.energy_k, k), (bethe.energy_lambda, lam)):
+            stacked = kernel(arg, spin)
+            rows = [kernel(row, spin) for row in arg]
+            assert stacked.shape == (6,) and all(type(e) is complex for e in rows)
+            assert np.array_equal(stacked, rows)
+    with pytest.raises(PoleError):  # a pole in any one row
+        bethe.energy_lambda([[0.3, 0.1], [0.2, 2j]], Spin(4))
+
+
+def test_pair_factors_stack_equals_rows():
+    rng = np.random.default_rng(6)
+    u = np.exp(1j * (rng.normal(size=(5, 4)) + 0.3j * rng.normal(size=(5, 4))))
+    for spin in SPINS:
+        stacked = bethe._pair_factors(u, spin)
+        assert np.array_equal(stacked, [bethe._pair_factors(row, spin) for row in u])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     lams=st.lists(complex_numbers, min_size=1, max_size=4),

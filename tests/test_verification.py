@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import spectrum_with_multiplicities
 from xxxchain import bethe, hilbert, solver, suite
 from xxxchain.errors import PoleError
@@ -215,6 +216,94 @@ def test_sigma_rapidity_form_check_is_scale_relative():
     for seed in (0, 40, 74, 111, 190):
         name, passed, detail = suite.sigma_rapidity_form(seed=seed)
         assert passed, (seed, detail)
+
+
+SAMPLED_CHECKS = (
+    (suite.sigma_consistency, oracles.sigma_consistency_loop),
+    (suite.sigma_rapidity_form, oracles.sigma_rapidity_form_loop),
+    (suite.energy_forms, oracles.energy_forms_loop),
+    (suite.exchange_relation, oracles.exchange_relation_loop),
+)
+# NumPy rounds complex products differently on arrays and on scalars, so the
+# worst values of sigma-unitarity-braid and amplitude-exchange-relation agree
+# with their loops only to the last bits; these two must agree exactly
+EXACT_DETAIL = {"sigma-rapidity-form", "energy-form-equality"}
+
+
+@pytest.mark.parametrize("samples, size, accept", [
+    (50, 3, lambda z: np.ones(np.shape(z)[:-1], dtype=bool)),
+    # rejects about half the rows, so the top-up draws run several times
+    (50, 3, lambda z: z[..., 0].real < 0.0),
+    (7, 2, lambda z: np.abs(z[..., 0] - z[..., 1]) > 1.5),
+])
+def test_draw_accepted_equals_scalar_draw_loop(samples, size, accept):
+    batch_rng, loop_rng = np.random.default_rng(11), np.random.default_rng(11)
+    rows = suite._draw_accepted(batch_rng, samples, (2, size), accept)
+    expected = oracles.draw_loop(loop_rng, samples, size, accept)
+    assert rows.shape == (samples, size)
+    assert rows.tobytes() == expected.tobytes()
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("check, loop", SAMPLED_CHECKS)
+def test_sampled_checks_equal_scalar_loops(check, loop):
+    # seed 179 has the closest sigma-unitarity-braid worst value, 5e-13 to 6e-13
+    for seed in (0, 40, 74, 111, 179, 190):
+        name, passed, detail = check(seed=seed)
+        loop_name, loop_passed, loop_detail = loop(seed=seed)
+        assert (name, passed) == (loop_name, loop_passed), (seed, detail, loop_detail)
+        if name in EXACT_DETAIL:
+            assert detail == loop_detail, seed
+
+
+class _LatticeRng:
+    """A generator whose normal draws are rounded to multiples of 1/2, so the
+    samples often land on the poles that the checks must reject."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def normal(self, size=None):
+        return np.round(2.0 * self._rng.normal(size=size)) / 2.0
+
+
+@pytest.mark.parametrize("check, loop", SAMPLED_CHECKS[:3])
+def test_sampled_checks_reject_the_rows_scalar_loops_reject(check, loop, monkeypatch):
+    made = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_LatticeRng(seed)) or made[-1])
+    for seed in (0, 1, 2):
+        name, passed, detail = check(seed=seed)
+        loop_name, loop_passed, loop_detail = loop(seed=seed)
+        assert (name, passed) == (loop_name, loop_passed), (seed, detail, loop_detail)
+        if name in EXACT_DETAIL:
+            assert detail == loop_detail, seed
+        # both drew the same number of rows
+        assert made[-2].bit_generator.state == made[-1].bit_generator.state, seed
+
+
+def _perturb_first_row(kernel, scale=1.0, shift=0.0):
+    def perturbed(*args):
+        out = np.array(kernel(*args))
+        out[0] = out[0] * scale + shift
+        return out
+    return perturbed
+
+
+def test_sampled_checks_fail_on_one_broken_row(monkeypatch):
+    checks = (suite.sigma_consistency, suite.sigma_rapidity_form, suite.energy_forms)
+    assert all(check()[1] for check in checks)
+    # sigma(u, v) sigma(v, u) = 1 + 2e-9 on one row
+    monkeypatch.setattr(bethe, "sigma_u", _perturb_first_row(bethe.sigma_u, scale=1 + 1e-9))
+    assert not suite.sigma_consistency()[1]
+    assert not suite.sigma_rapidity_form()[1]
+    monkeypatch.undo()
+    monkeypatch.setattr(bethe, "energy_k", _perturb_first_row(bethe.energy_k, shift=1e-9))
+    assert not suite.energy_forms()[1]
 
 
 class _SectorLeakingHamiltonian(ChainHamiltonian):
