@@ -155,7 +155,7 @@ def check_beta_recursions(spin: Spin) -> float:
                     - _ladder_weight((m2 + 1) * (two_s - m2)) * b(m1, m2 + 1, n + 1)
                     + _ladder_weight((two_s - n - m1) * (n + m1 + 1)) * b(m1, m2, n)
                 )
-                worst = max(worst, abs(lhs - rhs))
+                worst = np.maximum(worst, abs(lhs - rhs))
 
                 lhs = _ladder_weight(m1 * (two_s - m1 + 1)) * b(m1 - 1, m2, n)
                 rhs = (
@@ -163,7 +163,7 @@ def check_beta_recursions(spin: Spin) -> float:
                     - _ladder_weight(m2 * (two_s - m2 + 1)) * b(m1, m2 - 1, n - 1)
                     + _ladder_weight((two_s - n - m1 + 1) * (n + m1)) * b(m1, m2, n)
                 )
-                worst = max(worst, abs(lhs - rhs))
+                worst = np.maximum(worst, abs(lhs - rhs))
     return worst
 
 

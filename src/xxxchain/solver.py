@@ -205,23 +205,23 @@ def jacobian(lam, system: BetheSystem) -> np.ndarray:
 
 
 def classify_roots(lam, system: BetheSystem) -> Optional[str]:
-    """Reject reason for a converged iterate, or None if usable."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if not np.all(np.isfinite(lam)):
-        return "nonfinite"
-    if np.max(np.abs(lam)) > DESCENDANT_CUTOFF:
-        return "descendant"
-    m = len(lam)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(lam[a] - lam[b]) < DEGENERACY_TOL:
-                return "degenerate"
-    s = system.spin.s
-    if min(np.min(np.abs(lam - 1j * s)), np.min(np.abs(lam + 1j * s))) < SINGULAR_PROXIMITY_TOL:
-        # the cleared system has a spurious near-zero sheet here; only the
-        # exact pair is meaningful and it is handled in closed form
-        return "singular"
-    return None
+    """Reject reason for a converged iterate, or None: one row's `_reject_reasons`."""
+    return _reject_reasons(_row(lam), system.spin.s)[0]
+
+
+def _reject_reasons(lam: np.ndarray, s: float) -> np.ndarray:
+    """classify_roots of each row of an n x m array, the first reason that
+    applies in the order nonfinite, descendant, degenerate, singular."""
+    finite = np.isfinite(lam).all(axis=1)
+    lam = np.where(finite[:, None], lam, 0.0)
+    first, second = np.triu_indices(lam.shape[1], 1)
+    # the cleared system has a spurious near-zero sheet near +-is; only the
+    # exact pair is meaningful there and it is handled in closed form
+    near_pole = np.minimum(np.abs(lam - 1j * s), np.abs(lam + 1j * s)).min(axis=1)
+    return np.select([~finite, np.abs(lam).max(axis=1) > DESCENDANT_CUTOFF,
+                      (np.abs(lam[:, first] - lam[:, second]) < DEGENERACY_TOL).any(axis=1),
+                      near_pole < SINGULAR_PROXIMITY_TOL],
+                     ["nonfinite", "descendant", "degenerate", "singular"], None)
 
 
 def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 80):
@@ -244,14 +244,16 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     array, each row's iteration count (for a failed row, the iteration it
     failed in), and per row None (converged) or the NewtonFailureError it
     ended with.  Each row evaluates exactly the points it would evaluate
-    alone.  Rows run in blocks whose largest work array (the Jacobian's,
-    2 m^2 entries a row) stays within bethe.BLOCK_ENTRIES."""
+    alone.  Rows run in blocks whose largest work array stays within
+    bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the pair
+    factors of the line search's second pass (2 m (m-1) per damping level)."""
     lam = np.asarray(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
     n = len(lam)
     roots, iterations, failures = np.empty_like(lam), np.empty(n, dtype=int), [None] * n
-    rows = max(1, bethe.BLOCK_ENTRIES // (2 * system.m**2))
+    m = system.m
+    rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * (len(_DAMPING) - 1) * m * (m - 1)))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         roots[block], iterations[block], failures[block] = _lockstep(
@@ -261,10 +263,11 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
 
 def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int):
     """newton_batch on one block: one Newton iteration of all unfinished
-    rows at a time, the line search staged so that damping level k is tried
-    only on the rows no earlier level accepted."""
+    rows at a time.  The line search tries the full step on every row, then
+    all smaller damping levels at once on the rows it did not improve; each
+    row takes the first level that lowers its residual."""
     lam = seeds.copy()
-    n = len(lam)
+    n, m = lam.shape
     iterations = np.empty(n, dtype=int)
     failures = [None] * n
     running = np.ones(n, dtype=bool)
@@ -299,15 +302,17 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
         end(active[done], it)
         end(active[~done & ~usable], it, "singular-jacobian")
         rows, step = active[~done & usable], step[~done & usable]
-        for damp in _DAMPING:
+        for damps in (_DAMPING[:1], _DAMPING[1:]):
             if not rows.size:
                 break
-            cand = lam[rows] + damp * step
-            f_cand, r = _residuals(cand, system)
-            accept = np.isfinite(r) & (r < best[rows])
-            hit = rows[accept]
-            lam[hit], f[hit], best[hit] = cand[accept], f_cand[accept], r[accept]
-            rows, step = rows[~accept], step[~accept]
+            cand = lam[rows, None] + np.array(damps)[:, None] * step[:, None]
+            f_cand, r = _residuals(cand.reshape(-1, m), system)
+            f_cand, r = f_cand.reshape(cand.shape), r.reshape(len(rows), -1)
+            accept = np.isfinite(r) & (r < best[rows, None])
+            hit = accept.any(axis=1)
+            take, first = rows[hit], (np.flatnonzero(hit), accept[hit].argmax(axis=1))
+            lam[take], f[take], best[take] = cand[first], f_cand[first], r[first]
+            rows, step = rows[~hit], step[~hit]
         end(rows, it, "stalled", f"residual {{:.3e}} after {it} iterations")
     left = np.flatnonzero(running)
     converged = best[left] <= tol
@@ -390,10 +395,10 @@ def seed_catalog(system: BetheSystem, strategy: str, rng=None,
     if strategy == "random":
         if rng is None:
             rng = np.random.default_rng(0)
-        return [
-            rng.normal(scale=random_scale, size=m) + 1j * rng.normal(scale=random_scale, size=m)
-            for _ in range(n_random)
-        ]
+        # seed j takes draws j (real parts) and j + 1/2 (imaginary parts) of
+        # the generator's stream, as when drawn one seed at a time
+        draws = rng.normal(scale=random_scale, size=(n_random, 2, m))
+        return list(draws[:, 0] + 1j * draws[:, 1])
     raise InputRangeError(f"unknown seeding strategy {strategy!r}")
 
 
@@ -410,27 +415,51 @@ def sector_seeds(system: BetheSystem, opts: SolverOptions) -> np.ndarray:
     return np.array(seeds, dtype=complex).reshape(-1, system.m)
 
 
+def _fingerprints(lam: np.ndarray) -> np.ndarray:
+    """np.poly(row)[1:] of each row of an n x m array, bit for bit: real where
+    the row is closed under conjugation, and each step c_k - lambda_j c_{k-1}
+    summed in the order of np.convolve's complex dot product."""
+    coeffs = np.zeros((len(lam), lam.shape[1] + 1), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for j, w in enumerate(-lam.T[:, :, None]):
+        prev, cur = coeffs[:, :j + 1], coeffs[:, 1:j + 2]
+        coeffs.real[:, 1:j + 2], coeffs.imag[:, 1:j + 2] = (
+            (prev.real * w.real + cur.real) - prev.imag * w.imag,
+            prev.real * w.imag + (prev.imag * w.real + cur.imag))
+    coeffs.imag[(np.sort(lam, axis=1) == np.sort(np.conj(lam), axis=1)).all(axis=1)] = 0.0
+    return coeffs[:, 1:]
+
+
 class DeflationRegistry:
     """Unordered root-set dedup via elementary symmetric polynomials,
     identifying a set with its complex conjugate."""
 
     def __init__(self, tol: float = DEFLATION_TOL):
         self.tol = tol
-        self._fingerprints = None  # one registered set per row
+        self._fingerprints = []  # one per registered set
 
     def add(self, lam) -> bool:
         """Register a root set; returns False if it was already present."""
-        fp = np.poly(np.atleast_1d(np.asarray(lam, dtype=complex)))[1:]
-        refs = self._fingerprints
-        if refs is None:
-            self._fingerprints = fp[None]
-            return True
-        # the set and its conjugate against every registered set at once
-        cands = np.stack((fp, np.conj(fp)))[:, None, :]
-        if (np.abs(cands - refs) <= self.tol * (1.0 + np.abs(refs))).all(axis=2).any():
-            return False
-        self._fingerprints = np.vstack((refs, fp))
-        return True
+        return bool(self.add_rows(_row(lam))[0])
+
+    def add_rows(self, lam: np.ndarray) -> np.ndarray:
+        """Register the rows of an n x m array in order, each against the sets
+        registered before it; True where a row was new.  Each registered set
+        strikes every row that matches it or its conjugate, all at once."""
+        fps = _fingerprints(lam)
+        fresh, new = np.ones(len(fps), dtype=bool), np.zeros(len(fps), dtype=bool)
+        strikers = list(self._fingerprints)
+        while strikers or fresh.any():
+            if strikers:
+                ref = strikers.pop()
+            else:  # the first row no registered set struck
+                row = int(fresh.argmax())
+                new[row], fresh[row], ref = True, False, fps[row]
+                self._fingerprints.append(ref)
+            bound = self.tol * (1.0 + np.abs(ref))
+            for cands in (fps, np.conj(fps)):
+                fresh &= ~(np.abs(cands - ref) <= bound).all(axis=1)
+        return new
 
 
 def singular_pair_state(spin: Spin, length: int) -> BetheState:
@@ -477,17 +506,25 @@ def order_key(energy: complex, lam) -> tuple:
             tuple(sorted((z.real, z.imag) for z in lam)))
 
 
-def _settle(system: BetheSystem, lam: np.ndarray, iterations: int,
-            hamiltonian: ChainHamiltonian, registry: Optional[DeflationRegistry]):
-    """Deflation, state build and certificate of one Newton root that
-    `classify_roots` accepts."""
-    if registry is not None and not registry.add(lam):
-        raise NewtonFailureError("duplicate", "root set already deflated")
-    try:
-        state = build_bethe_state(system.spin, system.length, lam=lam)
-    except ChainError as exc:
-        raise NewtonFailureError("state-degenerate", str(exc)) from exc
-    return _certificate(state, scaled_residual(lam, system), iterations, hamiltonian)
+def _settle(system: BetheSystem, roots: np.ndarray, iterations, hamiltonian: ChainHamiltonian,
+            registry: Optional[DeflationRegistry]) -> list:
+    """Deflation, state build and certificate of the Newton roots (rows, in
+    catalog order) that `classify_roots` accepts: per row its RootCertificate
+    or NewtonFailureError.  Only root sets new to the registry get a state."""
+    new = np.ones(len(roots), dtype=bool) if registry is None else registry.add_rows(roots)
+    out = []
+    for lam, its, fresh in zip(roots, iterations, new):
+        if not fresh:
+            out.append(NewtonFailureError("duplicate", "root set already deflated"))
+            continue
+        try:
+            state = build_bethe_state(system.spin, system.length, lam=lam)
+        except ChainError as exc:
+            out.append(NewtonFailureError("state-degenerate", str(exc)))
+            out[-1].__cause__ = exc
+        else:
+            out.append(_certificate(state, scaled_residual(lam, system), int(its), hamiltonian))
+    return out
 
 
 def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
@@ -500,7 +537,10 @@ def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
     reason = classify_roots(lam, system)
     if reason is not None:
         raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
-    return _settle(system, lam, iterations, hamiltonian, registry)
+    outcome = _settle(system, lam[None], [iterations], hamiltonian, registry)[0]
+    if isinstance(outcome, NewtonFailureError):
+        raise outcome
+    return outcome
 
 
 def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
@@ -508,10 +548,10 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     """All distinct certified root sets the seed catalog reaches for one sector.
 
     Newton runs on the whole catalog at once (`newton_batch`); the roots are
-    then settled one by one in catalog order, so the first seed to reach a
-    root set registers it.  Root sets are returned sorted by `order_key`;
-    each carries its Bethe, eigenvector and highest-weight residuals.  Sets
-    failing the certification thresholds are dropped.
+    then classified and deflated as arrays in catalog order, so the first
+    seed to reach a root set registers it.  Root sets are returned sorted by
+    `order_key`; each carries its Bethe, eigenvector and highest-weight
+    residuals.  Sets failing the certification thresholds are dropped.
     """
     if opts is None:
         opts = SolverOptions()
@@ -530,18 +570,12 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
 
     roots, iterations, failures = newton_batch(system, sector_seeds(system, opts),
                                                opts.tol_newton, opts.max_iter)
+    converged = np.flatnonzero(np.equal(failures, None))
+    # a rejected root is dropped without formatting solve_newton's message
+    usable = converged[np.equal(_reject_reasons(roots[converged], spin.s), None)]
     registry = DeflationRegistry()
-    certs = []
-    for lam, its, failure in zip(roots, iterations, failures):
-        # a rejected root is dropped without formatting solve_newton's message
-        if failure is not None or classify_roots(lam, system) is not None:
-            continue
-        try:
-            cert = _settle(system, lam, int(its), hamiltonian, registry)
-        except NewtonFailureError:
-            continue
-        if cert.certified(opts):
-            certs.append(cert)
+    settled = _settle(system, roots[usable], iterations[usable], hamiltonian, registry)
+    certs = [c for c in settled if isinstance(c, RootCertificate) and c.certified(opts)]
 
     if spin.two_s == 1 and m == 2 and length % 2 == 0:
         state = singular_pair_state(spin, length)

@@ -34,9 +34,9 @@ def su2_local_relations(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS + (Spin(5),):
         sm, sp, sz = s_minus(spin), s_plus(spin), s_z(spin)
-        worst = max(worst, np.max(np.abs(sp @ sm - sm @ sp - 2 * sz)))
-        worst = max(worst, np.max(np.abs(sz @ sp - sp @ sz - sp)))
-        worst = max(worst, np.max(np.abs(sz @ sm - sm @ sz + sm)))
+        worst = np.maximum(worst, np.max(np.abs(sp @ sm - sm @ sp - 2 * sz)))
+        worst = np.maximum(worst, np.max(np.abs(sz @ sp - sp @ sz - sp)))
+        worst = np.maximum(worst, np.max(np.abs(sz @ sm - sm @ sz + sm)))
     return _check("su2-local-commutators", worst, 1e-13)
 
 
@@ -45,7 +45,7 @@ def su2_casimir(seed=0):
     for spin in LOCAL_SPINS:
         sm, sp, sz = s_minus(spin), s_plus(spin), s_z(spin)
         c2 = sz @ sz + 0.5 * (sp @ sm + sm @ sp)
-        worst = max(worst, np.max(np.abs(c2 - spin.s * (spin.s + 1) * np.eye(spin.dim))))
+        worst = np.maximum(worst, np.max(np.abs(c2 - spin.s * (spin.s + 1) * np.eye(spin.dim))))
     return _check("su2-casimir", worst, 1e-13)
 
 
@@ -53,9 +53,9 @@ def su2_e_minus(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS:
         g = g_matrix(spin)
-        worst = max(worst, np.max(np.abs(e_minus(spin) - g @ s_minus(spin) @ np.linalg.inv(g))))
+        worst = np.maximum(worst, np.max(np.abs(e_minus(spin) - g @ s_minus(spin) @ np.linalg.inv(g))))
         power = np.linalg.matrix_power(e_minus(spin), spin.two_s + 1)
-        worst = max(worst, np.max(np.abs(power)))
+        worst = np.maximum(worst, np.max(np.abs(power)))
     return _check("su2-e-minus", worst, 1e-13)
 
 
@@ -66,12 +66,12 @@ def beta_symmetry(seed=0):
     for spin in LOCAL_SPINS:
         table = build_beta_table(spin)
         for (m1, m2, n), v in table.entries.items():
-            worst = max(worst, abs(table.entries[(m2, m1, -n)] - v))
+            worst = np.maximum(worst, abs(table.entries[(m2, m1, -n)] - v))
     return _check("beta-symmetry", worst, 1e-15)
 
 
 def beta_recursions(seed=0):
-    worst = max(check_beta_recursions(spin) for spin in LOCAL_SPINS + (Spin(5),))
+    worst = np.max([check_beta_recursions(spin) for spin in LOCAL_SPINS + (Spin(5),)])
     return _check("beta-recursions", worst, 1e-13)
 
 
@@ -79,7 +79,7 @@ def local_h_symmetric(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS + (Spin(5),):
         h = local_h(spin)
-        worst = max(worst, np.max(np.abs(h - h.T)))
+        worst = np.maximum(worst, np.max(np.abs(h - h.T)))
     return _check("local-h-symmetric", worst, 1e-13)
 
 
@@ -90,7 +90,7 @@ def local_h_commutators(seed=0):
         eye = np.eye(spin.dim)
         for op in (s_z(spin), s_plus(spin), s_minus(spin)):
             total = np.kron(op, eye) + np.kron(eye, op)
-            worst = max(worst, np.max(np.abs(total @ h - h @ total)))
+            worst = np.maximum(worst, np.max(np.abs(total @ h - h @ total)))
     return _check("local-h-commutators", worst, 1e-12)
 
 
@@ -165,7 +165,7 @@ def dispersion(seed=0):
         for k in np.linspace(-np.pi, np.pi, 37):
             val = coeffs[0] + coeffs[1] + coeffs[2] * np.exp(1j * k) + coeffs[3] * np.exp(-1j * k)
             target = -(2 - np.exp(1j * k) - np.exp(-1j * k)) / spin.two_s
-            worst = max(worst, abs(val - target))
+            worst = np.maximum(worst, abs(val - target))
     return _check("single-magnon-dispersion", worst, 1e-13)
 
 
@@ -214,7 +214,7 @@ def coinciding_constraint(seed=0, samples=30):
             rows[[0, 2], i + 1] += 1
             a = bethe._plane_wave_sum(rows, u, spin)[0]
             val = a[0] + (ts - 1) * a[1] - (ts + 1) * a[2] + a[3]
-            worst = max(worst, abs(val) / max(abs(a[3]), abs(a[0]), 1.0))
+            worst = np.maximum(worst, abs(val) / max(abs(a[3]), abs(a[0]), 1.0))
     return _check("coinciding-coordinate-constraint", worst, 1e-11)
 
 
@@ -237,7 +237,7 @@ def product_identity(seed=0):
                     chi.append(c)
                 lhs = np.prod(zs)
                 rhs = 1 - m + sum(c * z for c, z in zip(chi, zs))
-                worst = max(worst, abs(lhs - rhs))
+                worst = np.maximum(worst, abs(lhs - rhs))
     return _check("shift-eigenvalue-product-identity", worst, 1e-11)
 
 
@@ -247,7 +247,7 @@ def pipeline_reconcile(seed=0):
     report = reconcile_spectrum(Spin(1), 4, 2)
     worst = 1.0 - report.matched_fraction
     for rec in report.bethe:
-        worst = max(worst, abs(rec.energy.imag))
+        worst = np.maximum(worst, abs(rec.energy.imag))
     return _check("pipeline-reconcile-16-levels", worst, 1e-9)
 
 
@@ -289,7 +289,7 @@ def chain_checks_at(spin: Spin, length: int, seed: int = 0) -> list:
     worst = 0.0
     for gen in (sz, sp, sm):
         comm = gen.apply(h_vec) - ham.apply(gen.apply(vec))
-        worst = max(worst, np.max(np.abs(comm)) / norm)
+        worst = np.maximum(worst, np.max(np.abs(comm)) / norm)
     results.append(_check(f"chain-su2-commutators{tag}", worst, 1e-12))
 
     # one vector with a random component in every sector, hit once on the
@@ -301,8 +301,8 @@ def chain_checks_at(spin: Spin, length: int, seed: int = 0) -> list:
     for basis, sub in zip(bases, subs):
         lifted[basis.full_indices] = sub
     full = ham.apply(lifted)
-    worst = max(np.max(np.abs(ham.sector_matrix(basis.m) @ sub - full[basis.full_indices]))
-                for basis, sub in zip(bases, subs))
+    worst = np.max([np.max(np.abs(ham.sector_matrix(basis.m) @ sub - full[basis.full_indices]))
+                    for basis, sub in zip(bases, subs)])
     results.append(_check(f"sector-apply-matches-full{tag}", worst, 1e-12))
     return results
 

@@ -6,7 +6,8 @@ tensor contractions, the exchange recursion instead of the closed amplitude
 product, a scalar permutation loop instead of the blocked plane-wave kernel,
 centered finite differences instead of the analytic Jacobian, one Newton run
 per seed instead of the lockstep batch, one scalar kernel call per sample
-instead of the suite's array-drawn sampled checks.
+instead of the suite's array-drawn sampled checks, scalar loops and np.poly
+instead of the solver's array classification, seed draws and deflation.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from xxxchain import bethe
+from xxxchain import bethe, solver
 from xxxchain.errors import NewtonFailureError
 from xxxchain.solver import BetheSystem, bethe_residual, jacobian, scaled_residual
 from xxxchain.su2 import Spin
@@ -165,6 +166,45 @@ def newton_loop(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 8
     if best <= tol:
         return lam, max_iter
     raise NewtonFailureError("max-iter", f"residual {best:.3e} after {max_iter} iterations")
+
+
+def random_seed_loop(rng, n_random: int, m: int, scale: float) -> list:
+    """The random strategy's seeds, drawn one seed at a time."""
+    return [rng.normal(scale=scale, size=m) + 1j * rng.normal(scale=scale, size=m)
+            for _ in range(n_random)]
+
+
+def classify_loop(lam, s: float):
+    """Reject reason of one root set from scalar tests, in priority order."""
+    lam = np.asarray(lam, dtype=complex)
+    if not np.all(np.isfinite(lam)):
+        return "nonfinite"
+    if max(abs(z) for z in lam) > solver.DESCENDANT_CUTOFF:
+        return "descendant"
+    for a, b in itertools.combinations(range(len(lam)), 2):
+        if abs(lam[a] - lam[b]) < solver.DEGENERACY_TOL:
+            return "degenerate"
+    if min(min(abs(z - 1j * s), abs(z + 1j * s)) for z in lam) < solver.SINGULAR_PROXIMITY_TOL:
+        return "singular"
+    return None
+
+
+class PolyRegistry:
+    """Root-set deflation with one np.poly fingerprint per set, each new set
+    compared with every registered one."""
+
+    def __init__(self, tol: float = solver.DEFLATION_TOL):
+        self.tol = tol
+        self.fingerprints = []
+
+    def add(self, lam) -> bool:
+        fp = np.poly(np.asarray(lam, dtype=complex))[1:]
+        for ref in self.fingerprints:
+            bound = self.tol * (1.0 + np.abs(ref))
+            if any(np.all(np.abs(cand - ref) <= bound) for cand in (fp, np.conj(fp))):
+                return False
+        self.fingerprints.append(fp)
+        return True
 
 
 def full_index(occ, dim: int) -> int:

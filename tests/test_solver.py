@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import fd_jacobian, naive_bethe_terms, newton_loop
+from oracles import (
+    PolyRegistry,
+    classify_loop,
+    fd_jacobian,
+    naive_bethe_terms,
+    newton_loop,
+    random_seed_loop,
+)
 from xxxchain import bethe, hilbert, solver
 from xxxchain.errors import ChainError, InputRangeError, NewtonFailureError
 from xxxchain.hamiltonian import ChainHamiltonian
@@ -18,6 +25,7 @@ from xxxchain.solver import (
     jacobian,
     newton_batch,
     newton_solve,
+    order_key,
     scaled_residual,
     sector_seeds,
     seed_catalog,
@@ -189,11 +197,44 @@ def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
         blocks.append(len(seeds))
         return lockstep(system, seeds, *args)
 
-    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 3 * 2 * system.m**2)
+    # three rows of the line search's second pass, the largest work array at m = 2
+    levels = len(solver._DAMPING) - 1
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 3 * 2 * levels * system.m * (system.m - 1))
     monkeypatch.setattr(solver, "_lockstep", counted)
     split = newton_batch(system, seeds)
     assert max(blocks) == 3 and sum(blocks) == len(seeds)
     _same_outcomes(whole, split)
+
+
+def _first_damping(system, seed):
+    """The damping level the line search takes in the first Newton step
+    from seed, from the one-row kernels, or None if no level improves."""
+    step = np.linalg.solve(jacobian(seed, system), -bethe_residual(seed, system))
+    start = scaled_residual(seed, system)
+    return next((damp for damp in solver._DAMPING
+                 if scaled_residual(seed + damp * step, system) < start), None)
+
+
+def test_line_search_block_matches_scalar_oracle():
+    system = BetheSystem(Spin(2), 4, 2)
+    # full step then convergence, full step then a stall, first step only at
+    # damping 1/32, no improving level at all
+    seeds = np.array([[0.19 - 0.21j, -0.52 - 1.22j], [1.8 - 0.16j, 1.14 + 0.39j],
+                      [0.39 + 0.19j, -0.63 - 0.48j], [-1.73 + 0.42j, -1.5 + 0.06j]])
+    assert [_first_damping(system, seed) for seed in seeds] == [1.0, 1.0, 1 / 32, None]
+    batch = newton_batch(system, seeds)
+    assert [None if e is None else e.reason for e in batch[2]] == \
+        [None, "stalled", None, "stalled"]
+    for row, (seed, lam, its, failure) in enumerate(zip(seeds, *batch)):
+        _same_outcomes(tuple(part[row:row + 1] for part in batch),
+                       newton_batch(system, seeds[row:row + 1]))
+        try:
+            expected, expected_its = newton_loop(system, seed)
+        except NewtonFailureError as exc:
+            assert (failure.reason, str(failure)) == (exc.reason, str(exc))
+            continue
+        assert failure is None and its == expected_its
+        assert np.max(np.abs(lam - expected)) <= 1e-9
 
 
 def test_solver_emits_no_runtime_warnings():
@@ -212,6 +253,29 @@ def test_classification():
     assert classify_roots([0.5j + 1e-4, -0.5j], system) == "singular"
     assert classify_roots([np.nan, 0.1], system) == "nonfinite"
     assert classify_roots([0.29, -0.29], system) is None
+
+
+def test_reject_reasons_match_scalar_loop():
+    system = BetheSystem(Spin(1), 4, 3)
+    rows = np.array([[np.nan, 0.1, 0.2], [0.3, np.inf, 0.3], [1e9, 0.4, 0.4],
+                     [0.4, 0.4 + 1e-8j, 0.9], [0.5j + 1e-4, -0.5j, 0.1],
+                     [0.5j, 0.7, 0.7], [0.29, -0.29, 1.3]])
+    reasons = solver._reject_reasons(rows, system.spin.s)
+    expected = [classify_loop(row, system.spin.s) for row in rows]
+    assert list(reasons) == expected == ["nonfinite", "nonfinite", "descendant", "degenerate",
+                                         "singular", "degenerate", None]
+    assert [classify_roots(row, system) for row in rows] == expected
+
+
+def test_random_seeds_are_the_one_seed_draws():
+    for m, n_random, scale in ((1, 5, 1.5), (3, 64, 0.75), (4, 0, 2.0)):
+        rng_rows, rng_loop = np.random.default_rng(7), np.random.default_rng(7)
+        rows = seed_catalog(BetheSystem(Spin(1), 8, m), "random", rng=rng_rows,
+                            n_random=n_random, random_scale=scale)
+        loop = random_seed_loop(rng_loop, n_random, m, scale)
+        assert len(rows) == len(loop) == n_random
+        assert all(a.shape == (m,) and a.tobytes() == b.tobytes() for a, b in zip(rows, loop))
+        assert rng_rows.bit_generator.state == rng_loop.bit_generator.state
 
 
 def test_seed_catalog_counts():
@@ -256,6 +320,32 @@ def test_deflation_registry():
     assert not registry.add(np.conj(roots))              # conjugate set
     assert not registry.add(roots + 1e-9)                # within tolerance
     assert registry.add(roots + 0.1)                     # genuinely new
+
+
+def test_registry_rows_equal_sequential_adds():
+    base = np.array([0.3 + 0.4j, -0.2 - 0.1j, 1.1 + 0.0j])
+    earlier = np.array([0.7, -0.7, 0.05j])
+    rows = np.array([base + 0.5, earlier[::-1], base, np.conj(base), base + 1e-9,
+                     base[::-1], np.array([0.4, -0.4, 0.0]), base + 0.1, np.conj(base + 0.1)])
+    fingerprints = solver._fingerprints(rows)
+    for row, fp in zip(rows, fingerprints):  # real where the set is closed under conjugation
+        assert np.array_equal(fp, np.poly(row)[1:])
+    registry, sequential, oracle = DeflationRegistry(), DeflationRegistry(), PolyRegistry()
+    for reg in (registry, sequential, oracle):
+        assert reg.add(earlier)
+    new = registry.add_rows(rows)
+    assert list(new) == [sequential.add(row) for row in rows] == [oracle.add(row) for row in rows]
+    assert list(new) == [True, False, True, False, False, False, True, True, False]
+
+
+def test_deflation_registry_batch_follows_catalog_order():
+    registry = DeflationRegistry(tol=0.05)
+    # the second row is within tol of the first and of the third, which is not
+    # within tol of the first: the first seen registers, a row it strikes does not
+    rows = np.array([[0.0, 1.0], [0.0, 1.08], [0.0, 1.16]])
+    sequential = DeflationRegistry(tol=0.05)
+    assert list(registry.add_rows(rows)) == [sequential.add(row) for row in rows] == \
+        [True, False, True]
 
 
 def test_solve_sector_known_L4_m2():
@@ -369,6 +459,38 @@ def test_free_momenta_l10_is_pinned():
         energies = sorted(c.energy.real for c in certs)
         assert len(energies) == len(expected), m
         assert np.allclose(energies, expected, rtol=0.0, atol=1e-9), m
+
+
+def _settled_seed_by_seed(spin, length, m, opts, ham):
+    """Certified root sets from solve_newton, seed by seed in catalog order,
+    with one registry, sorted as solve_sector sorts them."""
+    system, registry, certs = BetheSystem(spin, length, m), DeflationRegistry(), []
+    for seed in sector_seeds(system, opts):
+        try:
+            cert = solve_newton(system, seed, opts, ham, registry)
+        except NewtonFailureError:
+            continue
+        if cert.certified(opts):
+            certs.append(cert)
+    return sorted(certs, key=lambda c: order_key(c.energy, c.lam))
+
+
+@pytest.mark.parametrize("spin, length, m, strategies", [
+    *((Spin(two_s), length, m, solver.STRATEGIES) for two_s, length, m in CRITERION6_GRID),
+    (Spin(1), 12, 4, ("free-momenta",)),
+])
+def test_solve_sector_settles_as_solve_newton_seed_by_seed(spin, length, m, strategies):
+    opts = SolverOptions(strategies=strategies)
+    ham = ChainHamiltonian(spin, length)
+    # the injected singular pair is no Newton root
+    batch = [c for c in solve_sector(spin, length, m, opts, ham) if not c.singular]
+    single = _settled_seed_by_seed(spin, length, m, opts, ham)
+
+    def bits(certs):
+        return [(np.array(c.lam).tobytes(), c.bethe_residual, c.eigen_residual,
+                 c.hw_residual, c.iterations) for c in certs]
+
+    assert bits(batch) == bits(single)
 
 
 def test_certified_roots_permutation_invariance():

@@ -325,3 +325,21 @@ def test_chain_checks_catch_coupling_between_sectors(monkeypatch):
     assert leaky.keys() == clean.keys()
     assert not leaky["sector-apply-matches-full[s=1/2,L=6]"]
     assert leaky["vacuum-annihilated[s=1/2,L=6]"]
+
+
+def test_coinciding_constraint_fails_on_nan(monkeypatch):
+    assert suite.coinciding_constraint()[1]
+
+    def nan_sum(coords, u, spin):
+        return np.full(len(coords), np.nan, dtype=complex), np.nan
+
+    monkeypatch.setattr(bethe, "_plane_wave_sum", nan_sum)
+    name, passed, detail = suite.coinciding_constraint()
+    assert not passed and "nan" in detail
+
+
+def test_chain_su2_commutators_fail_on_nan(monkeypatch):
+    monkeypatch.setattr(ChainHamiltonian, "apply", lambda self, vec: np.full(vec.shape, np.nan))
+    checks = {name: ok for name, ok, _ in suite.chain_checks_at(Spin(1), 4, seed=0)}
+    assert not checks["chain-su2-commutators[s=1/2,L=4]"]
+    assert not checks["sector-apply-matches-full[s=1/2,L=4]"]
