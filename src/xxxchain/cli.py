@@ -14,6 +14,7 @@ import os
 import sys
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
 from . import hilbert, verify
 from .bethe import build_bethe_state

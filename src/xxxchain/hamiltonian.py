@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputRangeError, ResourceCapError, WindowError
 from .su2 import DEFAULT_CAP, DENSE_THRESHOLD, Spin, apply_bond_matrix
@@ -206,24 +205,28 @@ class ChainHamiltonian:
             )
         return self.apply(np.eye(self.dim))
 
-    def sector_matrix(self, m: int) -> sp.csr_matrix:
-        """Block of H on the lowering-number-m sector, as real sparse CSR."""
+    def sector_matrix(self, m: int) -> hilbert.SectorBlock:
+        """Block of H on the lowering-number-m sector, real and read-only."""
         if m in self._sector_cache:
             return self._sector_cache[m]
         basis = hilbert.sector_basis(self.spin, self.length, m)
         occ, full = basis.occupations, basis.full_indices
+        diag = np.zeros(len(basis))
         rows, cols, vals = [], [], []
         for j, k in self.bonds():
-            # hop n moves the occupations (a, b) at (j, k) to (a + n, b - n)
+            # hop n moves the occupations (a, b) at (j, k) to (a + n, b - n);
+            # n = 0 and the zero-valued padding stay on the diagonal
             shifts = self.table.hop_shifts[occ[:, j], occ[:, k]]
             values = self.table.hop_values[occ[:, j], occ[:, k]]
-            col, slot = np.nonzero(values)
+            diag += np.where(shifts == 0, values, 0.0).sum(axis=1)
+            col, slot = np.nonzero(shifts)
             target = full[col] + shifts[col, slot] * (basis.weights[j] - basis.weights[k])
             rows.append(np.searchsorted(full, target))
             cols.append(col)
             vals.append(values[col, slot])
-        mat = hilbert.freeze(sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(basis), len(basis))))
+        on = np.flatnonzero(diag)
+        mat = hilbert.SectorBlock(np.concatenate(vals + [diag[on]]),
+                                  np.concatenate(rows + [on]), np.concatenate(cols + [on]),
+                                  (len(basis), len(basis)))
         self._sector_cache[m] = mat
         return mat

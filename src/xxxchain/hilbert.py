@@ -13,7 +13,6 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputRangeError
 from .su2 import Spin
@@ -142,19 +141,52 @@ def coords_to_vector(spin: Spin, length: int, x) -> np.ndarray:
     return out
 
 
-def freeze(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """Make a cached sparse matrix's arrays read-only; products still work."""
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
+class SectorBlock:
+    """Read-only real sparse block between two sectors, in compressed rows.
+
+    Built from entry lists (vals, rows, cols) and a shape: the entries are
+    sorted row-major and repeated positions summed, so `data`, `indices` and
+    `indptr` are the canonical CSR arrays, `rows` is the row of each stored
+    entry and `nnz` counts distinct positions.  `block @ vec` adds each row's
+    terms in stored order to 0, as a CSR product loop does.
+    """
+
+    def __init__(self, vals, rows, cols, shape: tuple):
+        self.shape = shape
+        key = rows * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        self.data = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+        self.rows, self.indices = np.divmod(key[first], shape[1])
+        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1))
+        # cached and shared between callers
+        for arr in (self.data, self.rows, self.indices, self.indptr):
+            arr.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def __matmul__(self, vec) -> np.ndarray:
+        vec = np.asarray(vec)
+        if vec.shape != self.shape[1:]:
+            raise ValueError(f"vector has shape {vec.shape}, block needs ({self.shape[1]},)")
+        terms = self.data * vec[self.indices]
+        out = np.zeros(self.shape[0], dtype=terms.dtype)
+        np.add.at(out, self.rows, terms)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
 
 
 @lru_cache(maxsize=None)
-def _ladder_block(spin: Spin, length: int, m: int, step: int) -> sp.csr_matrix:
-    """S^- (step +1) or S^+ (step -1) block from sector m to sector m + step.
-
-    Cached and shared between callers, so its arrays are read-only.
-    """
+def _ladder_block(spin: Spin, length: int, m: int, step: int) -> SectorBlock:
+    """S^- (step +1) or S^+ (step -1) block from sector m to sector m + step."""
     src = sector_basis(spin, length, m)
     dst = sector_basis(spin, length, m + step)
     new = src.occupations + step
@@ -163,14 +195,14 @@ def _ladder_block(spin: Spin, length: int, m: int, step: int) -> sp.csr_matrix:
     low = np.minimum(src.occupations[cols, sites], new[cols, sites])
     vals = np.sqrt((spin.two_s - low) * (low + 1.0))
     rows = np.searchsorted(dst.full_indices, src.full_indices[cols] + step * src.weights[sites])
-    return freeze(sp.csr_matrix((vals, (rows, cols)), shape=(len(dst), len(src))))
+    return SectorBlock(vals, rows, cols, (len(dst), len(src)))
 
 
-def sector_s_minus(spin: Spin, length: int, m: int) -> sp.csr_matrix:
+def sector_s_minus(spin: Spin, length: int, m: int) -> SectorBlock:
     """S^- block mapping the m sector to the (m+1) sector."""
     return _ladder_block(spin, length, m, 1)
 
 
-def sector_s_plus(spin: Spin, length: int, m: int) -> sp.csr_matrix:
+def sector_s_plus(spin: Spin, length: int, m: int) -> SectorBlock:
     """S^+ block mapping the m sector to the (m-1) sector."""
     return _ladder_block(spin, length, m, -1)

@@ -23,6 +23,7 @@ from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
 from . import bethe, hilbert
 from .bethe import BetheState, build_bethe_state
@@ -265,7 +266,9 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
     """newton_batch on one block: one Newton iteration of all unfinished
     rows at a time.  The line search tries the full step on every row, then
     all smaller damping levels at once on the rows it did not improve; each
-    row takes the first level that lowers its residual."""
+    row takes the first level that lowers its residual.  A row that has
+    converged ends, and its full step, evaluated in the same first pass, is
+    its polishing step."""
     lam = seeds.copy()
     n, m = lam.shape
     iterations = np.empty(n, dtype=int)
@@ -273,12 +276,12 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
     running = np.ones(n, dtype=bool)
 
     def end(rows, it, reason=None, detail=""):
-        # detail may format the row's best scaled residual
+        # detail may format the row's best scaled residual when it is read
         iterations[rows] = it
         running[rows] = False
         if reason is not None:
             for row in rows:
-                failures[row] = NewtonFailureError(reason, detail.format(best[row]))
+                failures[row] = NewtonFailureError(reason, detail, best[row])
 
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
@@ -293,26 +296,24 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
         step = _newton_steps(_jacobians(lam[active], system), f[active])
         usable = np.isfinite(step).all(axis=1)
         done = best[active] <= tol
-        # one polishing step sharpens a converged root well below tol
-        polish = active[done & usable]
-        if polish.size:
-            cand = lam[polish] + step[done & usable]
-            better = _residuals(cand, system)[1] <= best[polish]
-            lam[polish[better]] = cand[better]
         end(active[done], it)
         end(active[~done & ~usable], it, "singular-jacobian")
-        rows, step = active[~done & usable], step[~done & usable]
+        # polishing sharpens a converged root well below tol; it is kept
+        # unless it is worse
+        rows, step, polish = active[usable], step[usable], done[usable]
         for damps in (_DAMPING[:1], _DAMPING[1:]):
             if not rows.size:
                 break
             cand = lam[rows, None] + np.array(damps)[:, None] * step[:, None]
             f_cand, r = _residuals(cand.reshape(-1, m), system)
             f_cand, r = f_cand.reshape(cand.shape), r.reshape(len(rows), -1)
-            accept = np.isfinite(r) & (r < best[rows, None])
+            limit = best[rows, None]
+            accept = np.isfinite(r) & np.where(polish[:, None], r <= limit, r < limit)
             hit = accept.any(axis=1)
             take, first = rows[hit], (np.flatnonzero(hit), accept[hit].argmax(axis=1))
             lam[take], f[take], best[take] = cand[first], f_cand[first], r[first]
-            rows, step = rows[~hit], step[~hit]
+            keep = ~hit & ~polish
+            rows, step, polish = rows[keep], step[keep], polish[keep]
         end(rows, it, "stalled", f"residual {{:.3e}} after {it} iterations")
     left = np.flatnonzero(running)
     converged = best[left] <= tol

@@ -85,18 +85,26 @@ def e_minus(spin: Spin) -> np.ndarray:
     return out
 
 
-def apply_site_matrix(vec: np.ndarray, op: np.ndarray, length: int, site: int, dim: int) -> np.ndarray:
-    """Apply a single-site operator to a full-space vector (or column batch).
+def apply_site_matrix(vec: np.ndarray, op: np.ndarray, length: int, site: int, dim: int,
+                      out: np.ndarray = None) -> np.ndarray:
+    """Add a single-site operator applied to a full-space vector (or column
+    batch) into `out`, a new zero array if None, and return `out`.
 
-    `vec` has shape (dim**length,) or (dim**length, batch).
+    `vec` has shape (dim**length,) or (dim**length, batch).  Each nonzero
+    entry op[a, b] is one strided update of the a-slice of `site` from the
+    b-slice, so no full-size reordered copy is made.
     """
-    batch = vec.shape[1:] if vec.ndim > 1 else ()
-    t = vec.reshape((dim,) * length + batch)
-    t = np.moveaxis(t, site, 0)
-    shape = t.shape
-    out = (op @ t.reshape(dim, -1)).reshape(shape)
-    out = np.moveaxis(out, 0, site)
-    return out.reshape(vec.shape)
+    if vec.shape[0] != dim**length:
+        raise ValueError(f"vector has dimension {vec.shape[0]}, chain needs {dim**length}")
+    if out is None:
+        out = np.zeros(vec.shape, dtype=np.result_type(vec.dtype, op.dtype, float))
+    elif out.shape != vec.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous with the vector's shape {vec.shape}")
+    src = vec.reshape(dim**site, dim, -1)
+    dst = out.reshape(dim**site, dim, -1)
+    for a, b in zip(*np.nonzero(op)):
+        dst[:, a] += op[a, b] * src[:, b]
+    return out
 
 
 def apply_bond_matrix(vec: np.ndarray, op: np.ndarray, length: int, bond: tuple, dim: int) -> np.ndarray:
@@ -129,7 +137,7 @@ class SiteSumOperator:
             raise ValueError(f"vector has dimension {vec.shape[0]}, operator needs {self.dim}")
         out = np.zeros(vec.shape, dtype=np.result_type(vec.dtype, self.local.dtype, float))
         for site in range(self.length):
-            out += apply_site_matrix(vec, self.local, self.length, site, self.spin.dim)
+            apply_site_matrix(vec, self.local, self.length, site, self.spin.dim, out)
         return out
 
     def dense(self, threshold: int = DENSE_THRESHOLD) -> np.ndarray:

@@ -8,6 +8,7 @@ for its random samples; deterministic checks ignore it.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
 from . import bethe, hilbert
 from .hamiltonian import ChainHamiltonian, check_beta_recursions, local_h

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against different primitives than the
 package code paths it checks: dense Kronecker products instead of axis-moved
-tensor contractions, the exchange recursion instead of the closed amplitude
+tensor contractions, axis-moved contractions instead of per-entry strided
+site updates, scalar loops instead of the sector blocks' array build and
+product, the exchange recursion instead of the closed amplitude
 product, a scalar permutation loop instead of the blocked plane-wave kernel,
 centered finite differences instead of the analytic Jacobian, one Newton run
 per seed instead of the lockstep batch, one scalar kernel call per sample
@@ -218,6 +220,37 @@ def full_index(occ, dim: int) -> int:
 
 def kron_site_operator(op, length, site, dim):
     return np.kron(np.kron(np.eye(dim**site), op), np.eye(dim ** (length - site - 1)))
+
+
+def moveaxis_site_apply(vec, op, length, site, dim):
+    """A single-site operator applied by moving the site's tensor axis to the
+    front and one matrix product over it, the tensor-contraction form that
+    `su2.apply_site_matrix`'s per-entry strided updates replaced."""
+    batch = vec.shape[1:]
+    t = np.moveaxis(vec.reshape((dim,) * length + batch), site, 0)
+    out = (op @ t.reshape(dim, -1)).reshape(t.shape)
+    return np.moveaxis(out, 0, site).reshape(vec.shape)
+
+
+def coo_dense(vals, rows, cols, shape):
+    """Dense matrix of an entry list, repeated positions added one at a time
+    in list order."""
+    out = np.zeros(shape)
+    for v, r, c in zip(vals, rows, cols):
+        out[r, c] += v
+    return out
+
+
+def csr_matvec_loop(block, vec):
+    """block @ vec as a scalar compressed-row loop: each row's stored terms
+    added to 0 one at a time, in stored order."""
+    out = np.zeros(block.shape[0], dtype=np.result_type(block.data, vec))
+    for row in range(block.shape[0]):
+        total = out.dtype.type(0)
+        for pos in range(block.indptr[row], block.indptr[row + 1]):
+            total += block.data[pos] * vec[block.indices[pos]]
+        out[row] = total
+    return out
 
 
 def kron_chain_hamiltonian(spin: Spin, length: int) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full_index, kron_chain_hamiltonian, kron_site_operator
+from oracles import (coo_dense, csr_matvec_loop, full_index, kron_chain_hamiltonian,
+                     kron_site_operator)
 from xxxchain import hilbert
 from xxxchain.errors import InputRangeError
 from xxxchain.hamiltonian import ChainHamiltonian
@@ -238,6 +239,53 @@ def test_cached_blocks_are_read_only():
             arr[0] = 0
     vec = np.ones(len(basis))
     assert np.allclose(up @ vec, up.toarray() @ vec)
+
+
+def test_sector_block_sums_repeated_positions_in_order():
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 6, size=60)
+    rows = rows[rows != 3]  # rows 3 and 6 stay empty
+    cols = rng.integers(0, 5, size=len(rows))
+    vals = rng.normal(size=len(rows))
+    block = hilbert.SectorBlock(vals, rows, cols, (7, 5))
+    assert block.nnz == len(set(zip(rows.tolist(), cols.tolist())))
+    assert np.array_equal(block.toarray(), coo_dense(vals, rows, cols, (7, 5)))
+    assert block.indptr[3] == block.indptr[4] and block.indptr[6] == block.indptr[7] == block.nnz
+    for row in range(7):
+        assert list(block.indices[block.indptr[row]:block.indptr[row + 1]]) == \
+            sorted(set(cols[rows == row].tolist()))
+    real = rng.normal(size=5)
+    for vec in (real, real + 1j * rng.normal(size=5)):
+        out = block @ vec
+        assert out.dtype == vec.dtype and out[3] == out[6] == 0.0
+        assert np.array_equal(out, csr_matvec_loop(block, vec))
+    with pytest.raises(ValueError):
+        block @ np.ones(7)
+
+
+def test_sector_blocks_match_dense_and_loop_oracles():
+    # L=2 puts both bonds on the same pairs, so its off-diagonal positions
+    # repeat; m=0 and the top sector are all empty rows
+    rng = np.random.default_rng(9)
+    for spin, length in ((Spin(1), 2), (Spin(4), 2), (Spin(1), 5), (Spin(2), 4)):
+        ham = ChainHamiltonian(spin, length)
+        dense = kron_chain_hamiltonian(spin, length)
+        for m in range(spin.two_s * length + 1):
+            basis = hilbert.sector_basis(spin, length, m)
+            block = ham.sector_matrix(m)
+            expected = _restricted(dense, basis, basis)
+            arr = block.toarray()
+            assert block.shape == expected.shape
+            assert np.max(np.abs(arr - expected)) < 1e-13
+            assert np.array_equal(arr, arr.T)
+            assert block.nnz == np.count_nonzero(expected)
+            real = rng.normal(size=len(basis))
+            for vec in (real, real + 1j * rng.normal(size=len(basis))):
+                out = block @ vec
+                assert np.array_equal(out, csr_matvec_loop(block, vec))
+                assert np.max(np.abs(out - expected @ vec)) < 1e-12 * (1 + np.abs(vec).sum())
+    vacuum = ChainHamiltonian(Spin(1), 6).sector_matrix(0)
+    assert vacuum.nnz == 0 and np.array_equal(vacuum @ np.ones(1), np.zeros(1))
 
 
 def test_sector_json():

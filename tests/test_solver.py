@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -138,6 +139,16 @@ def test_newton_failure_modes():
     assert err.value.reason in ("singular", "stalled", "max-iter")
 
 
+def test_newton_failure_message_is_formatted_when_read():
+    err = NewtonFailureError("stalled", "residual {:.3e} after 4 iterations", np.float64(0.25))
+    assert err.reason == "stalled"
+    assert str(err) == "stalled: residual 2.500e-01 after 4 iterations"
+    assert str(NewtonFailureError("singular-jacobian")) == "singular-jacobian"
+    assert str(NewtonFailureError("duplicate", "set {0} seen")) == "duplicate: set {0} seen"
+    copy = pickle.loads(pickle.dumps(err))
+    assert (copy.reason, str(copy)) == (err.reason, str(err))
+
+
 def _same_outcomes(a, b):
     roots_a, its_a, fails_a = a
     roots_b, its_b, fails_b = b
@@ -165,7 +176,8 @@ def test_newton_batch_matches_scalar_oracle():
                 continue
             assert failure is None, (two_s, length, m, seed)
             assert its == expected_its
-            assert np.max(np.abs(lam - expected)) <= 1e-9
+            # the same points in the same order, polishing step included
+            assert np.array_equal(lam, expected), (two_s, length, m, seed)
             reasons.add(None)
     assert {None, "stalled", "max-iter"} <= reasons
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import kron_site_operator, moveaxis_site_apply
 from xxxchain.errors import InputRangeError, ResourceCapError
 from xxxchain.su2 import (
     Spin,
+    apply_site_matrix,
     e_minus,
     g_matrix,
     global_generator,
@@ -129,8 +131,6 @@ def test_global_commutator_on_random_vectors():
 
 
 def test_global_dense_matches_apply():
-    from oracles import kron_site_operator
-
     for spin, length in ((Spin(1), 3), (Spin(2), 2)):
         for alpha, local in (("z", s_z(spin)), ("+", s_plus(spin)), ("-", s_minus(spin))):
             op = global_generator(spin, length, alpha)
@@ -141,6 +141,43 @@ def test_global_dense_matches_apply():
             assert np.allclose(dense, oracle, atol=1e-14)
             vec = np.arange(op.dim, dtype=float)
             assert np.allclose(op.apply(vec), dense @ vec, atol=1e-12)
+
+
+def test_site_apply_matches_kron_and_moveaxis_oracles():
+    # each generator has at most one nonzero per row, so the per-entry
+    # updates and the contraction add the same products in the same order
+    rng = np.random.default_rng(14)
+    for spin, length in ((Spin(1), 4), (Spin(2), 3), (Spin(3), 3), (Spin(4), 2)):
+        dim = spin.dim**length
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        batch = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        for alpha, local in (("z", s_z(spin)), ("+", s_plus(spin)), ("-", s_minus(spin))):
+            op = global_generator(spin, length, alpha)
+            dense = op.dense()
+            for v in (vec, batch, vec.real):
+                loop = np.zeros(v.shape, dtype=np.result_type(v, float))
+                for site in range(length):
+                    out = apply_site_matrix(v, local, length, site, spin.dim)
+                    reference = moveaxis_site_apply(v, local, length, site, spin.dim)
+                    assert out.dtype == reference.dtype and np.array_equal(out, reference)
+                    site_dense = kron_site_operator(local, length, site, spin.dim)
+                    assert np.max(np.abs(out - site_dense @ v)) < 1e-13 * np.abs(v).max() * spin.dim
+                    loop += reference
+                summed = op.apply(v)
+                assert np.array_equal(summed, loop)
+                assert np.max(np.abs(summed - dense @ v)) < 1e-12 * np.abs(v).max() * spin.dim
+
+
+def test_site_apply_accumulates_into_out_and_checks_shapes():
+    spin, length = Spin(2), 3
+    vec = np.arange(27, dtype=float)
+    out = np.ones(27)
+    assert apply_site_matrix(vec, s_plus(spin), length, 1, 3, out) is out
+    assert np.array_equal(out, 1.0 + moveaxis_site_apply(vec, s_plus(spin), length, 1, 3))
+    with pytest.raises(ValueError):
+        apply_site_matrix(vec, s_plus(spin), length, 1, 3, np.ones((27, 2))[:, 0])
+    with pytest.raises(ValueError):
+        apply_site_matrix(np.ones(81), s_plus(spin), length, 1, 3)
 
 
 def test_global_generator_cap():

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ and the package's declared minimum Python."""
+"""The scripts under scripts/, the package's declared minimum Python and its
+runtime imports."""
 
 import glob
 import io
@@ -70,3 +71,17 @@ def test_package_compiles_on_python_310(tmp_path):
     args = [arg for i, src in enumerate(sources) for arg in (str(src), str(tmp_path / f"{i}.pyc"))]
     proc = subprocess.run([exe, "-c", code, *args], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_and_cli_run_without_scipy():
+    # the runtime depends on NumPy only; SciPy is a benchmark extra
+    code = ("import contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import xxxchain, xxxchain.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = xxxchain.cli.main(['beta', '--spin', '1'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
