@@ -34,7 +34,6 @@ from .hamiltonian import (
 )
 from .hilbert import (
     SectorBasis,
-    coords_to_vector,
     sector_basis,
     sector_s_minus,
     sector_s_plus,

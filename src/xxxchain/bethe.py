@@ -248,6 +248,7 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
     sites = np.tile(np.arange(1, length + 1), len(basis))
     coords = np.repeat(sites, basis.occupations.ravel()).reshape(len(basis), m)
     vec, amp_sum = _plane_wave_sum(coords, u, spin)
+    # |x_1,...,x_m> carries the normalization sqrt(C(2s, m_j)) per site
     alpha = np.sqrt([math.comb(spin.two_s, j) for j in range(spin.dim)])
     vec *= np.prod(alpha[basis.occupations], axis=1)
 

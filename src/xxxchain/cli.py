@@ -29,15 +29,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _emit_json(obj):
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _emit_csv(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _emit(args, payload, header, rows):
+    """Write `payload` as JSON, or with --format csv the header and `rows`,
+    an iterable read only for CSV."""
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
 
 
 def _spin(args, parser) -> Spin:
@@ -76,25 +77,25 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(**overrides)
 
 
+def _matrix_rows(matrix):
+    """CSV header and rows of a dense matrix, as Python floats' reprs."""
+    return ([f"c{j}" for j in range(matrix.shape[1])],
+            ([repr(v) for v in row.tolist()] for row in matrix))
+
+
 def cmd_beta(args, parser):
     spin = _spin(args, parser)
     table = build_beta_table(spin)
-    if args.format == "csv":
-        _emit_csv(["m1", "m2", "n", "value"],
-                  [(m1, m2, n, repr(v)) for (m1, m2, n), v in table.sorted_items()])
-    else:
-        _emit_json(table.to_json())
+    _emit(args, table.to_json(), ["m1", "m2", "n", "value"],
+          ((m1, m2, n, repr(v)) for (m1, m2, n), v in table.sorted_items()))
     return EXIT_OK
 
 
 def cmd_local_h(args, parser):
     spin = _spin(args, parser)
     matrix = local_h(spin)
-    if args.format == "csv":
-        _emit_csv([f"c{j}" for j in range(matrix.shape[1])],
-                  [[repr(v) for v in row] for row in matrix])
-    else:
-        _emit_json({"two_s": spin.two_s, "matrix": [list(row) for row in matrix]})
+    _emit(args, {"two_s": spin.two_s, "matrix": [list(row) for row in matrix]},
+          *_matrix_rows(matrix))
     return EXIT_OK
 
 
@@ -102,12 +103,8 @@ def cmd_chain_h(args, parser):
     spin = _spin(args, parser)
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     matrix = ham.dense()
-    if args.format == "csv":
-        _emit_csv([f"c{j}" for j in range(matrix.shape[1])],
-                  [[repr(v) for v in row] for row in matrix])
-    else:
-        _emit_json({"two_s": spin.two_s, "L": args.length,
-                    "matrix": [list(row) for row in matrix]})
+    _emit(args, {"two_s": spin.two_s, "L": args.length,
+                 "matrix": [list(row) for row in matrix]}, *_matrix_rows(matrix))
     return EXIT_OK
 
 
@@ -115,20 +112,16 @@ def cmd_ed(args, parser):
     spin = _spin(args, parser)
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     report = verify.exact_diagonalize(spin, args.length, m=args.sector, hamiltonian=ham)
-    flat = sorted(float(v) for vals in report.ed.values() for v in vals)
-    if args.format == "csv":
-        _emit_csv(["m", "eigenvalue"],
-                  [(m, repr(float(v))) for m, vals in sorted(report.ed.items()) for v in vals])
+    out = {"two_s": spin.two_s, "L": args.length,
+           "ed": [{"m": m, "eigenvalues": [float(v) for v in vals]}
+                  for m, vals in sorted(report.ed.items())]}
+    if args.sector is None:
+        out["eigenvalues"] = sorted(float(v) for vals in report.ed.values() for v in vals)
     else:
-        out = {"two_s": spin.two_s, "L": args.length,
-               "ed": [{"m": m, "eigenvalues": [float(v) for v in vals]}
-                      for m, vals in sorted(report.ed.items())]}
-        if args.sector is None:
-            out["eigenvalues"] = flat
-        else:
-            out["m"] = args.sector
-            out["eigenvalues"] = [float(v) for v in report.ed[args.sector]]
-        _emit_json(out)
+        out["m"] = args.sector
+        out["eigenvalues"] = [float(v) for v in report.ed[args.sector]]
+    _emit(args, out, ["m", "eigenvalue"],
+          ((m, repr(float(v))) for m, vals in sorted(report.ed.items()) for v in vals))
     return EXIT_OK
 
 
@@ -140,18 +133,14 @@ def cmd_solve(args, parser):
     opts = _solver_options(args)
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     certs = solve_sector(spin, args.length, args.sector, opts, ham)
-    if args.format == "csv":
-        _emit_csv(
-            ["energy_re", "energy_im", "bethe_residual", "eigen_residual",
-             "hw_residual", "iterations", "singular", "lambda"],
-            [(repr(c.energy.real), repr(c.energy.imag), repr(c.bethe_residual),
-              repr(c.eigen_residual), repr(c.hw_residual), c.iterations,
-              int(c.singular), ";".join(f"{z.real}{z.imag:+}j" for z in c.lam))
-             for c in certs],
-        )
-    else:
-        _emit_json({"two_s": spin.two_s, "L": args.length, "m": args.sector,
-                    "certificates": [c.to_json() for c in certs]})
+    _emit(args, {"two_s": spin.two_s, "L": args.length, "m": args.sector,
+                 "certificates": [c.to_json() for c in certs]},
+          ["energy_re", "energy_im", "bethe_residual", "eigen_residual",
+           "hw_residual", "iterations", "singular", "lambda"],
+          ((repr(c.energy.real), repr(c.energy.imag), repr(c.bethe_residual),
+            repr(c.eigen_residual), repr(c.hw_residual), c.iterations,
+            int(c.singular), ";".join(f"{z.real}{z.imag:+}j" for z in c.lam))
+           for c in certs))
     return EXIT_OK
 
 
@@ -174,12 +163,8 @@ def cmd_state(args, parser):
                                   k=_parse_complex_list(args.momenta, parser, "--k"))
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     residual = verify.eigen_residual(state, ham)
-    payload = state.to_json(residual=residual)
-    if args.format == "csv":
-        _emit_csv(["index", "amplitude_re", "amplitude_im"],
-                  [(i, repr(z.real), repr(z.imag)) for i, z in enumerate(state.vector)])
-    else:
-        _emit_json(payload)
+    _emit(args, state.to_json(residual=residual), ["index", "amplitude_re", "amplitude_im"],
+          ((i, repr(z.real), repr(z.imag)) for i, z in enumerate(map(complex, state.vector))))
     return EXIT_OK
 
 
@@ -206,11 +191,8 @@ def cmd_aba_compare(args, parser):
                      "overlap": verify.overlap(phi, psi.vector)})
     out = {"two_s": spin.two_s, "L": args.length, "count": len(rows),
            "overlaps": rows, "min_overlap": min(r["overlap"] for r in rows)}
-    if args.format == "csv":
-        _emit_csv(["lambda_re", "lambda_im", "overlap"],
-                  [(repr(r["lambda"][0]), repr(r["lambda"][1]), repr(r["overlap"])) for r in rows])
-    else:
-        _emit_json(out)
+    _emit(args, out, ["lambda_re", "lambda_im", "overlap"],
+          ((repr(r["lambda"][0]), repr(r["lambda"][1]), repr(r["overlap"])) for r in rows))
     return EXIT_OK
 
 
@@ -240,11 +222,8 @@ def cmd_verify(args, parser):
                    for name, ok, detail in checks],
         "passed": not failed,
     }
-    if args.format == "csv":
-        _emit_csv(["name", "passed", "detail"],
-                  [(name, int(ok), detail) for name, ok, detail in checks])
-    else:
-        _emit_json(payload)
+    _emit(args, payload, ["name", "passed", "detail"],
+          ((name, int(ok), detail) for name, ok, detail in checks))
     for name, ok, detail in failed:
         print(f"FAILED {name}: {detail}", file=sys.stderr)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK

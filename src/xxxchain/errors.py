@@ -30,18 +30,8 @@ class ResourceCapError(ChainError, RuntimeError):
 
 
 class NewtonFailureError(ChainError, RuntimeError):
-    """Newton iteration did not produce an acceptable root set.
+    """Newton iteration did not produce an acceptable root set."""
 
-    `detail` may hold a `{}` field for `residual`, the best scaled residual
-    reached; the message is formatted only when it is read.
-    """
-
-    def __init__(self, reason, detail="", residual=None):
-        super().__init__(reason, detail, residual)
+    def __init__(self, reason, detail=""):
+        super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-
-    def __str__(self):
-        reason, detail, residual = self.args
-        if residual is not None:
-            detail = detail.format(residual)
-        return f"{reason}: {detail}" if detail else reason

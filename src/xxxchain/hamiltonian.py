@@ -65,37 +65,17 @@ def beta(spin: Spin, m1: int, m2: int, n: int) -> float:
 class BetaTable:
     """All window entries beta^n_{m1,m2} for one spin, built once and reused.
 
-    `entries` maps (m1, m2, n) -> value over the full window (zeros included);
-    `hop_shifts[m1, m2]` and `hop_values[m1, m2]` list the hops n with
-    nonzero value, padded with zero values to a common length, which is the
-    form consumed by sector-matrix assembly.
+    `entries` maps (m1, m2, n) -> value over the full window (zeros included).
     """
 
     def __init__(self, spin: Spin):
         self.spin = spin
         self.entries = {}
-        by_pair = {}
         for m1 in range(spin.two_s + 1):
             for m2 in range(spin.two_s + 1):
                 lo, hi = beta_window(spin, m1, m2)
-                hops = []
                 for n in range(lo, hi + 1):
-                    value = beta(spin, m1, m2, n)
-                    self.entries[(m1, m2, n)] = value
-                    if value != 0.0:
-                        hops.append((n, value))
-                by_pair[(m1, m2)] = hops
-        d = spin.dim
-        width = max(len(hops) for hops in by_pair.values())
-        self.hop_shifts = np.zeros((d, d, width), dtype=np.int64)
-        self.hop_values = np.zeros((d, d, width))
-        for (m1, m2), hops in by_pair.items():
-            for slot, (n, value) in enumerate(hops):
-                self.hop_shifts[m1, m2, slot] = n
-                self.hop_values[m1, m2, slot] = value
-        # read-only: the table is shared by every chain of this spin
-        self.hop_shifts.flags.writeable = False
-        self.hop_values.flags.writeable = False
+                    self.entries[(m1, m2, n)] = beta(spin, m1, m2, n)
 
     def __len__(self):
         return len(self.entries)
@@ -170,8 +150,7 @@ class ChainHamiltonian:
     """Periodic chain H = sum_j h_{j,j+1}, applied lazily on the full space
     or blockwise on fixed-lowering sectors."""
 
-    def __init__(self, spin: Spin, length: int, cap: int = DEFAULT_CAP,
-                 dense_threshold: int = DENSE_THRESHOLD):
+    def __init__(self, spin: Spin, length: int, cap: int = DEFAULT_CAP):
         if length < 2:
             raise InputRangeError(f"chain length must be >= 2, got {length}")
         dim = spin.dim**length
@@ -180,9 +159,17 @@ class ChainHamiltonian:
         self.spin = spin
         self.length = length
         self.dim = dim
-        self.dense_threshold = dense_threshold
-        self.table = build_beta_table(spin)
         self.local = local_h(spin)
+        # the nonzero entries of each column a*d + b of local_h, as hops n
+        # (a, b) -> (a + n, b - n) in ascending n, padded with zero values
+        # at n = 0 to a common width
+        pairs, targets = np.nonzero(self.local.T)
+        slots = np.arange(len(pairs)) - np.searchsorted(pairs, pairs)
+        d = spin.dim
+        self._hop_shifts = np.zeros((d * d, slots.max() + 1), dtype=np.int64)
+        self._hop_values = np.zeros(self._hop_shifts.shape)
+        self._hop_shifts[pairs, slots] = targets // d - pairs // d
+        self._hop_values[pairs, slots] = self.local[targets, pairs]
         self._sector_cache = {}
 
     def bonds(self):
@@ -199,9 +186,9 @@ class ChainHamiltonian:
         return out
 
     def dense(self) -> np.ndarray:
-        if self.dim > self.dense_threshold:
+        if self.dim > DENSE_THRESHOLD:
             raise ResourceCapError(
-                f"dense materialization of dimension {self.dim} exceeds threshold {self.dense_threshold}"
+                f"dense materialization of dimension {self.dim} exceeds threshold {DENSE_THRESHOLD}"
             )
         return self.apply(np.eye(self.dim))
 
@@ -216,8 +203,8 @@ class ChainHamiltonian:
         for j, k in self.bonds():
             # hop n moves the occupations (a, b) at (j, k) to (a + n, b - n);
             # n = 0 and the zero-valued padding stay on the diagonal
-            shifts = self.table.hop_shifts[occ[:, j], occ[:, k]]
-            values = self.table.hop_values[occ[:, j], occ[:, k]]
+            pair = occ[:, j] * self.spin.dim + occ[:, k]
+            shifts, values = self._hop_shifts[pair], self._hop_values[pair]
             diag += np.where(shifts == 0, values, 0.0).sum(axis=1)
             col, slot = np.nonzero(shifts)
             target = full[col] + shifts[col, slot] * (basis.weights[j] - basis.weights[k])

@@ -1,21 +1,19 @@
-"""Product-basis enumeration, fixed-S^z sectors, and coordinate states.
+"""Product-basis enumeration, fixed-S^z sectors, and sparse sector blocks.
 
 A sector is labelled by the total lowering number m; its basis states are
 occupation tuples (m_1, ..., m_L) with 0 <= m_j <= 2s and sum m_j = m,
 listed in lexicographic order.  The orthonormal occupation basis is what
-exact diagonalization works in; coordinate states |x_1,...,x_m> carry the
-extra alpha-normalization sqrt(C(2s, m_j)) per site.
+exact diagonalization works in.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InputRangeError
-from .su2 import Spin
+from .su2 import Spin, s_minus, s_plus
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -107,40 +105,6 @@ def embed_sector_vector(basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def occupation_of(x, length: int) -> tuple:
-    occ = [0] * length
-    for site in x:
-        occ[site - 1] += 1
-    return tuple(occ)
-
-
-def coordinates_of(occ) -> tuple:
-    return tuple(site + 1 for site, mj in enumerate(occ) for _ in range(mj))
-
-
-def coords_to_vector(spin: Spin, length: int, x) -> np.ndarray:
-    """Occupation-basis vector of |x_1,...,x_m>, including its normalization.
-
-    The amplitude is prod_j sqrt(C(2s, m_j)); a multiplicity above 2s makes
-    it vanish, so the zero vector is returned rather than an error.
-    """
-    x = tuple(x)
-    if any(a > b for a, b in zip(x, x[1:])):
-        raise ValueError(f"coordinates must be non-decreasing, got {x}")
-    if x and not (1 <= x[0] and x[-1] <= length):
-        raise ValueError(f"coordinates must lie in 1..{length}, got {x}")
-    basis = sector_basis(spin, length, len(x))
-    out = np.zeros(len(basis), dtype=complex)
-    occ = occupation_of(x, length)
-    if max(occ, default=0) > spin.two_s:
-        return out
-    amp = 1.0
-    for mj in occ:
-        amp *= math.sqrt(math.comb(spin.two_s, mj))
-    out[basis.index_of(occ)] = amp
-    return out
-
-
 class SectorBlock:
     """Read-only real sparse block between two sectors, in compressed rows.
 
@@ -191,9 +155,8 @@ def _ladder_block(spin: Spin, length: int, m: int, step: int) -> SectorBlock:
     dst = sector_basis(spin, length, m + step)
     new = src.occupations + step
     cols, sites = np.nonzero((new >= 0) & (new <= spin.two_s))
-    # both ladders move between lowering counts low and low + 1 at a site
-    low = np.minimum(src.occupations[cols, sites], new[cols, sites])
-    vals = np.sqrt((spin.two_s - low) * (low + 1.0))
+    local = s_minus(spin) if step == 1 else s_plus(spin)
+    vals = local[new[cols, sites], src.occupations[cols, sites]]
     rows = np.searchsorted(dst.full_indices, src.full_indices[cols] + step * src.weights[sites])
     return SectorBlock(vals, rows, cols, (len(dst), len(src)))
 

@@ -232,34 +232,46 @@ def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 
     lam = np.atleast_1d(np.asarray(seed, dtype=complex))
     if lam.size != system.m:
         raise ValueError(f"seed has {lam.size} components, system needs {system.m}")
-    roots, iterations, failures = newton_batch(system, lam.reshape(1, -1), tol, max_iter)
-    if failures[0] is not None:
-        raise failures[0]
+    roots, iterations, reasons, best = newton_batch(system, lam.reshape(1, -1), tol, max_iter)
+    if reasons[0] is not None:
+        raise _newton_failure(reasons[0], iterations[0], best[0])
     return roots[0], int(iterations[0])
+
+
+def _newton_failure(reason: str, iterations: int, best: float) -> NewtonFailureError:
+    """The error of a `newton_batch` row that failed with `reason` after
+    `iterations` iterations, its best scaled residual being `best`."""
+    if reason in ("stalled", "max-iter"):
+        return NewtonFailureError(reason, f"residual {best:.3e} after {iterations} iterations")
+    if reason == "nonfinite":
+        return NewtonFailureError(reason, "iterate left the finite domain")
+    return NewtonFailureError(reason)
 
 
 def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int = 80):
     """Damped Newton from every row of an n x m seed array, in lockstep.
 
-    Returns (roots, iterations, failures): the last iterates as an n x m
+    Returns (roots, iterations, reasons, best): the last iterates as an n x m
     array, each row's iteration count (for a failed row, the iteration it
-    failed in), and per row None (converged) or the NewtonFailureError it
-    ended with.  Each row evaluates exactly the points it would evaluate
-    alone.  Rows run in blocks whose largest work array stays within
-    bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the pair
-    factors of the line search's second pass (2 m (m-1) per damping level)."""
+    failed in), per row None (converged) or the reason it failed ("nonfinite",
+    "singular-jacobian", "stalled" or "max-iter") as an object array, and each
+    row's best scaled residual.  Each row evaluates exactly the points it
+    would evaluate alone.  Rows run in blocks whose largest work array stays
+    within bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the
+    pair factors of the line search's second pass (2 m (m-1) per damping
+    level)."""
     lam = np.asarray(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
-    n = len(lam)
-    roots, iterations, failures = np.empty_like(lam), np.empty(n, dtype=int), [None] * n
-    m = system.m
+    n, m = lam.shape
+    roots, iterations = np.empty_like(lam), np.empty(n, dtype=int)
+    reasons, best = np.empty(n, dtype=object), np.empty(n)
     rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * (len(_DAMPING) - 1) * m * (m - 1)))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        roots[block], iterations[block], failures[block] = _lockstep(
+        roots[block], iterations[block], reasons[block], best[block] = _lockstep(
             system, lam[block], tol, max_iter)
-    return roots, iterations, failures
+    return roots, iterations, reasons, best
 
 
 def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int):
@@ -272,16 +284,13 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
     lam = seeds.copy()
     n, m = lam.shape
     iterations = np.empty(n, dtype=int)
-    failures = [None] * n
+    reasons = np.full(n, None, dtype=object)
     running = np.ones(n, dtype=bool)
 
-    def end(rows, it, reason=None, detail=""):
-        # detail may format the row's best scaled residual when it is read
+    def end(rows, it, reason=None):
         iterations[rows] = it
         running[rows] = False
-        if reason is not None:
-            for row in rows:
-                failures[row] = NewtonFailureError(reason, detail, best[row])
+        reasons[rows] = reason
 
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
@@ -289,7 +298,7 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
     for it in range(max_iter):
         active = np.flatnonzero(running)
         finite = np.isfinite(lam[active]).all(axis=1)
-        end(active[~finite], it, "nonfinite", "iterate left the finite domain")
+        end(active[~finite], it, "nonfinite")
         active = active[finite]
         if not active.size:
             break
@@ -314,12 +323,12 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
             lam[take], f[take], best[take] = cand[first], f_cand[first], r[first]
             keep = ~hit & ~polish
             rows, step, polish = rows[keep], step[keep], polish[keep]
-        end(rows, it, "stalled", f"residual {{:.3e}} after {it} iterations")
+        end(rows, it, "stalled")
     left = np.flatnonzero(running)
     converged = best[left] <= tol
     end(left[converged], max_iter)
-    end(left[~converged], max_iter, "max-iter", f"residual {{:.3e}} after {max_iter} iterations")
-    return lam, iterations, failures
+    end(left[~converged], max_iter, "max-iter")
+    return lam, iterations, reasons, best
 
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -474,10 +483,10 @@ def singular_pair_state(spin: Spin, length: int) -> BetheState:
     if spin.two_s != 1 or length % 2 != 0:
         raise ChainError("exact singular pair exists for spin 1/2 and even L only")
     basis = hilbert.sector_basis(spin, length, 2)
-    vec = np.zeros(len(basis), dtype=complex)
-    for x in range(1, length):
-        vec[basis.index_of(hilbert.occupation_of((x, x + 1), length))] += (-1) ** x
-    vec[basis.index_of(hilbert.occupation_of((1, length), length))] += (-1) ** length
+    occ = basis.occupations
+    # column x - 1 marks the pair (x, x + 1), site L + 1 being site 1
+    pairs = occ * np.roll(occ, -1, axis=1)
+    vec = (pairs @ (-1) ** np.arange(1, length + 1)).astype(complex)
     lam = (0.5j, -0.5j)
     return BetheState(spin, length, None, lam, basis, vec, -2.0 + 0.0j,
                       float(np.linalg.norm(vec)))
@@ -569,9 +578,9 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         vacuum = build_bethe_state(spin, length, k=())
         return [_certificate(vacuum, 0.0, 0, hamiltonian)]
 
-    roots, iterations, failures = newton_batch(system, sector_seeds(system, opts),
-                                               opts.tol_newton, opts.max_iter)
-    converged = np.flatnonzero(np.equal(failures, None))
+    roots, iterations, reasons, _ = newton_batch(system, sector_seeds(system, opts),
+                                                 opts.tol_newton, opts.max_iter)
+    converged = np.flatnonzero(np.equal(reasons, None))
     # a rejected root is dropped without formatting solve_newton's message
     usable = converged[np.equal(_reject_reasons(roots[converged], spin.s), None)]
     registry = DeflationRegistry()

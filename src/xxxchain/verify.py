@@ -195,12 +195,11 @@ def aba_phi1(spin: Spin, length: int, lam: complex) -> np.ndarray:
     a11 = (t11 @ top)[0]
     a12 = (t12 @ top)[1]
     a22 = (t22 @ top)[0]
-    basis = hilbert.sector_basis(spin, length, 1)
-    out = np.zeros(len(basis), dtype=complex)
-    for x in range(1, length + 1):
-        occ = hilbert.occupation_of((x,), length)
-        out[basis.index_of(occ)] = a11 ** (x - 1) * a12 * a22 ** (length - x)
-    return out
+    # the site x = 1..L of each basis state's one lowering; the amplitudes
+    # are multiplied as scalars, since NumPy's vectorised complex products
+    # may round differently
+    sites = hilbert.sector_basis(spin, length, 1).occupations @ np.arange(1, length + 1)
+    return np.array([a11 ** (x - 1) * a12 * a22 ** (length - x) for x in sites.tolist()])
 
 
 def overlap(u: np.ndarray, v: np.ndarray) -> float:

@@ -257,10 +257,12 @@ def test_build_state_matches_coordinate_sum():
     spin, length = Spin(2), 4
     k = [0.9 - 0.1j]
     state = bethe.build_bethe_state(spin, length, k=k)
-    direct = sum(
-        np.exp(1j * k[0] * x) * hilbert.coords_to_vector(spin, length, (x,))
-        for x in range(1, length + 1)
-    )
+    basis = state.basis
+    direct = np.zeros(len(basis), dtype=complex)
+    for x in range(1, length + 1):
+        # |x> carries the normalization sqrt(C(2s, 1))
+        direct[basis.index_of(np.eye(length, dtype=int)[x - 1])] = (
+            np.exp(1j * k[0] * x) * math.sqrt(spin.two_s))
     assert np.max(np.abs(state.vector - direct)) < 1e-12
 
 
@@ -270,7 +272,7 @@ def _coordinate_amplitudes(state, k, rows):
     two_s = state.spin.two_s
     occs = [state.basis.states[i] for i in rows]
     alpha = [math.prod(math.sqrt(math.comb(two_s, mj)) for mj in occ) for occ in occs]
-    xs = [hilbert.coordinates_of(occ) for occ in occs]
+    xs = [tuple(site + 1 for site, mj in enumerate(occ) for _ in range(mj)) for occ in occs]
     return plane_wave_sums(xs, k, state.spin) * np.array(alpha)
 
 

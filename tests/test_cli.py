@@ -372,3 +372,48 @@ def test_reconcile_schema():
 
     payload = reconcile_spectrum(Spin(1), 4, 2).to_json()
     validate("reconcile", payload)
+
+
+def _csv_and_json(*argv):
+    code, out, err = run_cli(*argv, "--format", "csv")
+    assert code == 0, (argv, err)
+    header, *rows = csv.reader(io.StringIO(out))
+    code, out, err = run_cli(*argv)
+    assert code == 0, (argv, err)
+    return header, rows, json.loads(out)
+
+
+def test_csv_and_json_carry_the_same_values():
+    _, rows, payload = _csv_and_json("beta", "--spin", "3/2")
+    assert [(int(m1), int(m2), int(n), float(v)) for m1, m2, n, v in rows] == \
+        [(e["m1"], e["m2"], e["n"], e["value"]) for e in payload["entries"]]
+
+    for argv in (("local-h", "--spin", "1"), ("chain-h", "--spin", "1/2", "-L", "3")):
+        header, rows, payload = _csv_and_json(*argv)
+        assert header == [f"c{j}" for j in range(len(payload["matrix"][0]))]
+        assert [[float(v) for v in row] for row in rows] == payload["matrix"]
+
+    _, rows, payload = _csv_and_json("ed", "--spin", "1", "-L", "3")
+    assert [(int(m), float(v)) for m, v in rows] == \
+        [(sec["m"], v) for sec in payload["ed"] for v in sec["eigenvalues"]]
+
+    _, rows, payload = _csv_and_json("solve", "--spin", "1", "-L", "4", "-m", "2")
+    assert len(rows) == len(payload["certificates"]) > 0
+    for row, cert in zip(rows, payload["certificates"]):
+        assert [float(v) for v in row[:5]] == [*cert["energy"], cert["bethe_residual"],
+                                               cert["eigen_residual"], cert["hw_residual"]]
+        assert (int(row[5]), bool(int(row[6]))) == (cert["iterations"], cert["singular"])
+        assert [complex(z) for z in row[7].split(";")] == [complex(*z) for z in cert["lambda"]]
+
+    _, rows, payload = _csv_and_json("state", "--spin", "1", "-L", "4", "--k", "0.7,1.9")
+    amplitudes = np.array([complex(float(re), float(im)) for _, re, im in rows])
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    assert float(np.linalg.norm(amplitudes)) == payload["norm"]
+
+    _, rows, payload = _csv_and_json("verify", "--only", "sigma")
+    assert [(name, bool(int(ok)), detail) for name, ok, detail in rows] == \
+        [(c["name"], c["passed"], c["detail"]) for c in payload["checks"]]
+
+    _, rows, payload = _csv_and_json("aba-compare", "--spin", "1", "-L", "4", "--count", "3")
+    assert [[float(v) for v in row] for row in rows] == \
+        [[*r["lambda"], r["overlap"]] for r in payload["overlaps"]]

@@ -139,23 +139,45 @@ def test_newton_failure_modes():
     assert err.value.reason in ("singular", "stalled", "max-iter")
 
 
-def test_newton_failure_message_is_formatted_when_read():
-    err = NewtonFailureError("stalled", "residual {:.3e} after 4 iterations", np.float64(0.25))
+def test_newton_failure_message_is_formatted_when_read(monkeypatch):
+    # newton_batch returns a failed row as data; its error, and so its
+    # message, is made only for a caller that reads it
+    def unexpected(*args):
+        raise AssertionError(f"newton_batch built an error {args}")
+
+    system = BetheSystem(Spin(2), 4, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "NewtonFailureError", unexpected)
+        reasons = newton_batch(system, sector_seeds(system, SolverOptions()))[2]
+    assert {None, "stalled"} <= set(reasons)
+    err = solver._newton_failure("stalled", np.int64(4), np.float64(0.25))
     assert err.reason == "stalled"
     assert str(err) == "stalled: residual 2.500e-01 after 4 iterations"
-    assert str(NewtonFailureError("singular-jacobian")) == "singular-jacobian"
+    assert str(solver._newton_failure("max-iter", 80, 3e-7)) == \
+        "max-iter: residual 3.000e-07 after 80 iterations"
+    assert str(solver._newton_failure("nonfinite", 2, np.nan)) == \
+        "nonfinite: iterate left the finite domain"
+    assert str(solver._newton_failure("singular-jacobian", 0, 1.0)) == "singular-jacobian"
     assert str(NewtonFailureError("duplicate", "set {0} seen")) == "duplicate: set {0} seen"
     copy = pickle.loads(pickle.dumps(err))
     assert (copy.reason, str(copy)) == (err.reason, str(err))
 
 
+def _messages(outcomes):
+    """Per row None or the (reason, message) of its NewtonFailureError."""
+    _, iterations, reasons, best = outcomes
+    return [None if reason is None else (reason, str(solver._newton_failure(reason, its, r)))
+            for reason, its, r in zip(reasons, iterations, best)]
+
+
 def _same_outcomes(a, b):
-    roots_a, its_a, fails_a = a
-    roots_b, its_b, fails_b = b
+    roots_a, its_a, reasons_a, best_a = a
+    roots_b, its_b, reasons_b, best_b = b
     assert np.array_equal(roots_a, roots_b, equal_nan=True)
     assert np.array_equal(its_a, its_b)
-    assert [None if e is None else (e.reason, str(e)) for e in fails_a] == \
-        [None if e is None else (e.reason, str(e)) for e in fails_b]
+    assert list(reasons_a) == list(reasons_b)
+    assert np.array_equal(best_a, best_b, equal_nan=True)
+    assert _messages(a) == _messages(b)
 
 
 def test_newton_batch_matches_scalar_oracle():
@@ -164,14 +186,13 @@ def test_newton_batch_matches_scalar_oracle():
     for two_s, length, m in CRITERION6_GRID:
         system = BetheSystem(Spin(two_s), length, m)
         seeds = sector_seeds(system, opts)
-        roots, iterations, failures = newton_batch(system, seeds, opts.tol_newton, opts.max_iter)
-        for seed, lam, its, failure in zip(seeds, roots, iterations, failures):
+        batch = newton_batch(system, seeds, opts.tol_newton, opts.max_iter)
+        for seed, lam, its, failure in zip(seeds, batch[0], batch[1], _messages(batch)):
             try:
                 expected, expected_its = newton_loop(system, seed, opts.tol_newton, opts.max_iter)
             except NewtonFailureError as exc:
                 # stalled and max-iter messages carry the iteration count
-                assert failure is not None and (failure.reason, str(failure)) == \
-                    (exc.reason, str(exc)), (two_s, length, m, seed)
+                assert failure == (exc.reason, str(exc)), (two_s, length, m, seed)
                 reasons.add(exc.reason)
                 continue
             assert failure is None, (two_s, length, m, seed)
@@ -194,8 +215,7 @@ def test_singular_jacobian_row_leaves_the_batch_alone():
     for row in range(len(seeds)):
         alone = newton_batch(system, seeds[row:row + 1])
         _same_outcomes(tuple(part[row:row + 1] for part in batch), alone)
-    assert [None if e is None else e.reason for e in batch[2]] == \
-        [None, None, None, "stalled", "stalled"]
+    assert list(batch[2]) == [None, None, None, "stalled", "stalled"]
 
 
 def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
@@ -235,15 +255,15 @@ def test_line_search_block_matches_scalar_oracle():
                       [0.39 + 0.19j, -0.63 - 0.48j], [-1.73 + 0.42j, -1.5 + 0.06j]])
     assert [_first_damping(system, seed) for seed in seeds] == [1.0, 1.0, 1 / 32, None]
     batch = newton_batch(system, seeds)
-    assert [None if e is None else e.reason for e in batch[2]] == \
-        [None, "stalled", None, "stalled"]
-    for row, (seed, lam, its, failure) in enumerate(zip(seeds, *batch)):
+    assert list(batch[2]) == [None, "stalled", None, "stalled"]
+    for row, (seed, lam, its, failure) in enumerate(zip(seeds, batch[0], batch[1],
+                                                        _messages(batch))):
         _same_outcomes(tuple(part[row:row + 1] for part in batch),
                        newton_batch(system, seeds[row:row + 1]))
         try:
             expected, expected_its = newton_loop(system, seed)
         except NewtonFailureError as exc:
-            assert (failure.reason, str(failure)) == (exc.reason, str(exc))
+            assert failure == (exc.reason, str(exc))
             continue
         assert failure is None and its == expected_its
         assert np.max(np.abs(lam - expected)) <= 1e-9
@@ -530,6 +550,13 @@ def test_certified_roots_conjugation_invariance():
 def test_singular_pair_state_even_lengths():
     for length in (4, 6, 8):
         state = singular_pair_state(Spin(1), length)
+        # sum_x (-1)^x |x, x+1>, the pair (L, L+1) being (1, L)
+        expected = np.zeros(len(state.basis), dtype=complex)
+        for x in range(1, length + 1):
+            occ = np.zeros(length, dtype=int)
+            occ[[x - 1, x % length]] = 1
+            expected[state.basis.index_of(occ)] += (-1) ** x
+        assert np.array_equal(state.vector, expected)
         assert state.energy == -2.0
         assert eigen_residual(state) < 1e-14
         assert highest_weight_residual(state) < 1e-14

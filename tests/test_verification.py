@@ -173,7 +173,7 @@ def test_aba_phi1_closed_form():
         direct = np.zeros(len(basis), dtype=complex)
         amp = 1j / (lam + 1j * spin.s)
         for x in range(1, length + 1):
-            direct[basis.index_of(hilbert.occupation_of((x,), length))] = (
+            direct[basis.index_of(np.eye(length, dtype=int)[x - 1])] = (
                 amp * u**x * np.sqrt(spin.two_s)
             )
         assert np.max(np.abs(phi - direct)) < 1e-12 * np.max(np.abs(direct))
