@@ -30,14 +30,14 @@ EXIT_RESOURCE = 3
 
 
 def _emit(args, payload, header, rows):
-    """Write `payload` as JSON, or with --format csv the header and `rows`,
-    an iterable read only for CSV."""
+    """Write `payload()` as JSON, or with --format csv the header and `rows`,
+    an iterable read only for CSV; `payload` is called only for JSON."""
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        json.dump(payload(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
 
 
@@ -86,7 +86,7 @@ def _matrix_rows(matrix):
 def cmd_beta(args, parser):
     spin = _spin(args, parser)
     table = build_beta_table(spin)
-    _emit(args, table.to_json(), ["m1", "m2", "n", "value"],
+    _emit(args, table.to_json, ["m1", "m2", "n", "value"],
           ((m1, m2, n, repr(v)) for (m1, m2, n), v in table.sorted_items()))
     return EXIT_OK
 
@@ -94,7 +94,7 @@ def cmd_beta(args, parser):
 def cmd_local_h(args, parser):
     spin = _spin(args, parser)
     matrix = local_h(spin)
-    _emit(args, {"two_s": spin.two_s, "matrix": [list(row) for row in matrix]},
+    _emit(args, lambda: {"two_s": spin.two_s, "matrix": [list(row) for row in matrix]},
           *_matrix_rows(matrix))
     return EXIT_OK
 
@@ -103,8 +103,8 @@ def cmd_chain_h(args, parser):
     spin = _spin(args, parser)
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     matrix = ham.dense()
-    _emit(args, {"two_s": spin.two_s, "L": args.length,
-                 "matrix": [list(row) for row in matrix]}, *_matrix_rows(matrix))
+    _emit(args, lambda: {"two_s": spin.two_s, "L": args.length,
+                         "matrix": [list(row) for row in matrix]}, *_matrix_rows(matrix))
     return EXIT_OK
 
 
@@ -120,7 +120,7 @@ def cmd_ed(args, parser):
     else:
         out["m"] = args.sector
         out["eigenvalues"] = [float(v) for v in report.ed[args.sector]]
-    _emit(args, out, ["m", "eigenvalue"],
+    _emit(args, lambda: out, ["m", "eigenvalue"],
           ((m, repr(float(v))) for m, vals in sorted(report.ed.items()) for v in vals))
     return EXIT_OK
 
@@ -133,8 +133,8 @@ def cmd_solve(args, parser):
     opts = _solver_options(args)
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     certs = solve_sector(spin, args.length, args.sector, opts, ham)
-    _emit(args, {"two_s": spin.two_s, "L": args.length, "m": args.sector,
-                 "certificates": [c.to_json() for c in certs]},
+    _emit(args, lambda: {"two_s": spin.two_s, "L": args.length, "m": args.sector,
+                         "certificates": [c.to_json() for c in certs]},
           ["energy_re", "energy_im", "bethe_residual", "eigen_residual",
            "hw_residual", "iterations", "singular", "lambda"],
           ((repr(c.energy.real), repr(c.energy.imag), repr(c.bethe_residual),
@@ -163,7 +163,7 @@ def cmd_state(args, parser):
                                   k=_parse_complex_list(args.momenta, parser, "--k"))
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     residual = verify.eigen_residual(state, ham)
-    _emit(args, state.to_json(residual=residual), ["index", "amplitude_re", "amplitude_im"],
+    _emit(args, lambda: state.to_json(residual=residual), ["index", "amplitude_re", "amplitude_im"],
           ((i, repr(z.real), repr(z.imag)) for i, z in enumerate(map(complex, state.vector))))
     return EXIT_OK
 
@@ -191,7 +191,7 @@ def cmd_aba_compare(args, parser):
                      "overlap": verify.overlap(phi, psi.vector)})
     out = {"two_s": spin.two_s, "L": args.length, "count": len(rows),
            "overlaps": rows, "min_overlap": min(r["overlap"] for r in rows)}
-    _emit(args, out, ["lambda_re", "lambda_im", "overlap"],
+    _emit(args, lambda: out, ["lambda_re", "lambda_im", "overlap"],
           ((repr(r["lambda"][0]), repr(r["lambda"][1]), repr(r["overlap"])) for r in rows))
     return EXIT_OK
 
@@ -222,7 +222,7 @@ def cmd_verify(args, parser):
                    for name, ok, detail in checks],
         "passed": not failed,
     }
-    _emit(args, payload, ["name", "passed", "detail"],
+    _emit(args, lambda: payload, ["name", "passed", "detail"],
           ((name, int(ok), detail) for name, ok, detail in checks))
     for name, ok, detail in failed:
         print(f"FAILED {name}: {detail}", file=sys.stderr)

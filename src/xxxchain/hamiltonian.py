@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputRangeError, ResourceCapError, WindowError
-from .su2 import DEFAULT_CAP, DENSE_THRESHOLD, Spin, apply_bond_matrix
+from .su2 import DEFAULT_CAP, DENSE_THRESHOLD, Spin, apply_bond_matrix, s_minus, s_plus
 from . import hilbert
 
 
@@ -107,16 +107,12 @@ def local_h(spin: Spin) -> np.ndarray:
     return out
 
 
-def _ladder_weight(x: int) -> float:
-    # a non-positive radicand means the transition does not exist
-    return math.sqrt(x) if x > 0 else 0.0
-
-
 def check_beta_recursions(spin: Spin) -> float:
     """Max absolute violation of the two su(2)-symmetry recursion relations.
 
     Entries outside the admissible window count as zero; that matches the
-    absence of the corresponding matrix element.
+    absence of the corresponding matrix element.  So do ladder elements
+    outside the single-site space.
     """
     two_s = spin.two_s
     table = build_beta_table(spin).entries
@@ -124,23 +120,27 @@ def check_beta_recursions(spin: Spin) -> float:
     def b(m1, m2, n):
         return table.get((m1, m2, n), 0.0)
 
+    def ladder(local, row, col):
+        return local[row][col] if 0 <= min(row, col) and max(row, col) <= two_s else 0.0
+
+    lower, upper = s_minus(spin).tolist(), s_plus(spin).tolist()
     worst = 0.0
     for m1 in range(two_s + 1):
         for m2 in range(two_s + 1):
             for n in range(-two_s - 1, two_s + 2):
-                lhs = _ladder_weight((m1 + 1) * (two_s - m1)) * b(m1 + 1, m2, n)
+                lhs = ladder(lower, m1 + 1, m1) * b(m1 + 1, m2, n)
                 rhs = (
-                    _ladder_weight((two_s + n - m2 + 1) * (m2 - n)) * b(m1, m2, n + 1)
-                    - _ladder_weight((m2 + 1) * (two_s - m2)) * b(m1, m2 + 1, n + 1)
-                    + _ladder_weight((two_s - n - m1) * (n + m1 + 1)) * b(m1, m2, n)
+                    ladder(lower, m2 - n, m2 - n - 1) * b(m1, m2, n + 1)
+                    - ladder(lower, m2 + 1, m2) * b(m1, m2 + 1, n + 1)
+                    + ladder(lower, m1 + n + 1, m1 + n) * b(m1, m2, n)
                 )
                 worst = np.maximum(worst, abs(lhs - rhs))
 
-                lhs = _ladder_weight(m1 * (two_s - m1 + 1)) * b(m1 - 1, m2, n)
+                lhs = ladder(upper, m1 - 1, m1) * b(m1 - 1, m2, n)
                 rhs = (
-                    _ladder_weight((two_s + n - m2) * (m2 - n + 1)) * b(m1, m2, n - 1)
-                    - _ladder_weight(m2 * (two_s - m2 + 1)) * b(m1, m2 - 1, n - 1)
-                    + _ladder_weight((two_s - n - m1 + 1) * (n + m1)) * b(m1, m2, n)
+                    ladder(upper, m2 - n, m2 - n + 1) * b(m1, m2, n - 1)
+                    - ladder(upper, m2 - 1, m2) * b(m1, m2 - 1, n - 1)
+                    + ladder(upper, m1 + n - 1, m1 + n) * b(m1, m2, n)
                 )
                 worst = np.maximum(worst, abs(lhs - rhs))
     return worst
@@ -160,16 +160,6 @@ class ChainHamiltonian:
         self.length = length
         self.dim = dim
         self.local = local_h(spin)
-        # the nonzero entries of each column a*d + b of local_h, as hops n
-        # (a, b) -> (a + n, b - n) in ascending n, padded with zero values
-        # at n = 0 to a common width
-        pairs, targets = np.nonzero(self.local.T)
-        slots = np.arange(len(pairs)) - np.searchsorted(pairs, pairs)
-        d = spin.dim
-        self._hop_shifts = np.zeros((d * d, slots.max() + 1), dtype=np.int64)
-        self._hop_values = np.zeros(self._hop_shifts.shape)
-        self._hop_shifts[pairs, slots] = targets // d - pairs // d
-        self._hop_values[pairs, slots] = self.local[targets, pairs]
         self._sector_cache = {}
 
     def bonds(self):
@@ -194,26 +184,7 @@ class ChainHamiltonian:
 
     def sector_matrix(self, m: int) -> hilbert.SectorBlock:
         """Block of H on the lowering-number-m sector, real and read-only."""
-        if m in self._sector_cache:
-            return self._sector_cache[m]
-        basis = hilbert.sector_basis(self.spin, self.length, m)
-        occ, full = basis.occupations, basis.full_indices
-        diag = np.zeros(len(basis))
-        rows, cols, vals = [], [], []
-        for j, k in self.bonds():
-            # hop n moves the occupations (a, b) at (j, k) to (a + n, b - n);
-            # n = 0 and the zero-valued padding stay on the diagonal
-            pair = occ[:, j] * self.spin.dim + occ[:, k]
-            shifts, values = self._hop_shifts[pair], self._hop_values[pair]
-            diag += np.where(shifts == 0, values, 0.0).sum(axis=1)
-            col, slot = np.nonzero(shifts)
-            target = full[col] + shifts[col, slot] * (basis.weights[j] - basis.weights[k])
-            rows.append(np.searchsorted(full, target))
-            cols.append(col)
-            vals.append(values[col, slot])
-        on = np.flatnonzero(diag)
-        mat = hilbert.SectorBlock(np.concatenate(vals + [diag[on]]),
-                                  np.concatenate(rows + [on]), np.concatenate(cols + [on]),
-                                  (len(basis), len(basis)))
-        self._sector_cache[m] = mat
-        return mat
+        if m not in self._sector_cache:
+            self._sector_cache[m] = hilbert.local_sum_block(
+                self.spin, self.length, m, self.local, self.bonds(), 0)
+        return self._sector_cache[m]

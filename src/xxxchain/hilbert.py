@@ -63,15 +63,6 @@ class SectorBasis:
     def index_of(self, occ) -> int:
         return int(self.indices_of(occ)[0])
 
-    def to_json(self):
-        return {
-            "two_s": self.spin.two_s,
-            "L": self.length,
-            "m": self.m,
-            "dim": len(self),
-            "states": [list(occ) for occ in self.states],
-        }
-
 
 def check_sector(spin: Spin, length: int, m: int):
     """Raise InputRangeError unless m is a sector of the (spin, length) chain."""
@@ -148,24 +139,53 @@ class SectorBlock:
         return out
 
 
-@lru_cache(maxsize=None)
-def _ladder_block(spin: Spin, length: int, m: int, step: int) -> SectorBlock:
-    """S^- (step +1) or S^+ (step -1) block from sector m to sector m + step."""
+def local_sum_block(spin: Spin, length: int, m: int, op: np.ndarray, sites,
+                    step: int) -> SectorBlock:
+    """Block of sum_{t in sites} op_t from the m sector to the m + step sector.
+
+    `op` acts on k sites, first-site-major like `su2.apply_bond_matrix`, and
+    moves every state it does not annihilate by `step` in total lowering;
+    each term t of `sites` is a k-tuple of distinct chain sites.  An
+    off-diagonal entry op[r, c] changes the occupation digits of column c
+    into those of row r, which shifts a state's full index by
+    sum_i (r_i - c_i) * weight(t_i); the diagonal entries are summed over
+    the terms, in order, into one diagonal.
+    """
     src = sector_basis(spin, length, m)
-    dst = sector_basis(spin, length, m + step)
-    new = src.occupations + step
-    cols, sites = np.nonzero((new >= 0) & (new <= spin.two_s))
-    local = s_minus(spin) if step == 1 else s_plus(spin)
-    vals = local[new[cols, sites], src.occupations[cols, sites]]
-    rows = np.searchsorted(dst.full_indices, src.full_indices[cols] + step * src.weights[sites])
-    return SectorBlock(vals, rows, cols, (len(dst), len(src)))
+    dst = sector_basis(spin, length, m + step) if step else src
+    terms = np.array(sites, dtype=np.int64)
+    radix = spin.dim ** np.arange(terms.shape[1] - 1, -1, -1, dtype=np.int64)
+    # the off-diagonal entries of each column of op in ascending row order,
+    # as digit changes and values, padded to a common width with no change
+    entry_cols, entry_rows = np.nonzero(op.T - np.diag(np.diagonal(op)))
+    slots = np.arange(len(entry_cols)) - np.searchsorted(entry_cols, entry_cols)
+    moves = np.zeros((len(op), slots.max(initial=0) + 1, len(radix)), dtype=np.int64)
+    moves[entry_cols, slots] = (entry_rows[:, None] // radix % spin.dim
+                                - entry_cols[:, None] // radix % spin.dim)
+    values = np.zeros(moves.shape[:2])
+    values[entry_cols, slots] = op[entry_rows, entry_cols]
+    # the column of op that each (term, state) selects
+    columns = np.einsum("tkn,k->tn", src.occupations.T[terms], radix)
+    diag = np.diagonal(op)[columns].sum(axis=0)  # adds the terms in order
+    # (term, state, slot) full-index shifts, zero at the padding
+    shift_table = np.einsum("cwk,tk->tcw", moves, src.weights[terms])
+    shifts = shift_table[np.arange(len(terms))[:, None], columns]
+    off = shifts != 0
+    cols = np.nonzero(off)[1]
+    rows = np.searchsorted(dst.full_indices, src.full_indices[cols] + shifts[off])
+    on = np.flatnonzero(diag)
+    return SectorBlock(np.concatenate((values[columns][off], diag[on])),
+                       np.concatenate((rows, on)), np.concatenate((cols, on)),
+                       (len(dst), len(src)))
 
 
+@lru_cache(maxsize=None)
 def sector_s_minus(spin: Spin, length: int, m: int) -> SectorBlock:
     """S^- block mapping the m sector to the (m+1) sector."""
-    return _ladder_block(spin, length, m, 1)
+    return local_sum_block(spin, length, m, s_minus(spin), [(j,) for j in range(length)], 1)
 
 
+@lru_cache(maxsize=None)
 def sector_s_plus(spin: Spin, length: int, m: int) -> SectorBlock:
     """S^+ block mapping the m sector to the (m-1) sector."""
-    return _ladder_block(spin, length, m, -1)
+    return local_sum_block(spin, length, m, s_plus(spin), [(j,) for j in range(length)], -1)

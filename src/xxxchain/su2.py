@@ -140,15 +140,6 @@ class SiteSumOperator:
             apply_site_matrix(vec, self.local, self.length, site, self.spin.dim, out)
         return out
 
-    def dense(self, threshold: int = DENSE_THRESHOLD) -> np.ndarray:
-        if self.dim > threshold:
-            raise ResourceCapError(f"dense form of dimension {self.dim} exceeds threshold {threshold}")
-        d = self.spin.dim
-        out = np.zeros((self.dim, self.dim))
-        for site in range(self.length):
-            out += np.kron(np.kron(np.eye(d**site), self.local), np.eye(d ** (self.length - site - 1)))
-        return out
-
 
 def global_generator(spin: Spin, length: int, alpha: str, cap: int = DEFAULT_CAP) -> SiteSumOperator:
     """Global su(2) generator S^alpha = sum_j s^alpha_j, alpha in {'z', '+', '-'}."""

@@ -254,13 +254,17 @@ def csr_matvec_loop(block, vec):
 
 
 def kron_chain_hamiltonian(spin: Spin, length: int) -> np.ndarray:
-    """Dense periodic chain assembled from Kronecker products and an explicit
-    digit-decoded wrap bond."""
+    """Dense periodic chain of `local_h`, from `kron_bond_sum`."""
     from xxxchain.hamiltonian import local_h
 
-    d = spin.dim
+    return kron_bond_sum(local_h(spin), length, spin.dim)
+
+
+def kron_bond_sum(h, length, d):
+    """Dense sum of the two-site operator h over the periodic bonds
+    (j, j+1), assembled from Kronecker products and an explicit
+    digit-decoded wrap bond."""
     dim = d**length
-    h = local_h(spin)
     out = np.zeros((dim, dim))
     for j in range(length - 1):
         out += np.kron(np.kron(np.eye(d**j), h), np.eye(d ** (length - j - 2)))

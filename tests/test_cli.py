@@ -358,14 +358,6 @@ def test_singular_state_json_matches_schema():
     assert payload["k"] is None
 
 
-def test_sector_dump_schema():
-    from xxxchain import hilbert
-    from xxxchain.su2 import Spin
-
-    payload = hilbert.sector_basis(Spin(1), 3, 1).to_json()
-    validate("sector", payload)
-
-
 def test_reconcile_schema():
     from xxxchain.su2 import Spin
     from xxxchain.verify import reconcile_spectrum
@@ -417,3 +409,40 @@ def test_csv_and_json_carry_the_same_values():
     _, rows, payload = _csv_and_json("aba-compare", "--spin", "1", "-L", "4", "--count", "3")
     assert [[float(v) for v in row] for row in rows] == \
         [[*r["lambda"], r["overlap"]] for r in payload["overlaps"]]
+
+
+def test_matrix_csv_never_builds_the_json_payload(monkeypatch):
+    # the JSON payload of a matrix holds one float object per entry, which a
+    # CSV run would build and never print
+    built = []
+    emit = cli._emit
+
+    def counting_emit(args, payload, header, rows):
+        def build():
+            built.append(args.command)
+            return payload()
+        return emit(args, build, header, rows)
+
+    monkeypatch.setattr(cli, "_emit", counting_emit)
+    code, out, _ = run_cli("local-h", "--spin", "1/2", "--format", "csv")
+    assert code == 0
+    assert out == ("c0,c1,c2,c3\n"
+                   "0.0,0.0,0.0,0.0\n"
+                   "0.0,-1.0,1.0,0.0\n"
+                   "0.0,1.0,-1.0,0.0\n"
+                   "0.0,0.0,0.0,0.0\n")
+    code, out, _ = run_cli("chain-h", "--spin", "1/2", "-L", "3", "--format", "csv")
+    assert code == 0
+    assert out == ("c0,c1,c2,c3,c4,c5,c6,c7\n"
+                   "0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+                   "0.0,-2.0,1.0,0.0,1.0,0.0,0.0,0.0\n"
+                   "0.0,1.0,-2.0,0.0,1.0,0.0,0.0,0.0\n"
+                   "0.0,0.0,0.0,-2.0,0.0,1.0,1.0,0.0\n"
+                   "0.0,1.0,1.0,0.0,-2.0,0.0,0.0,0.0\n"
+                   "0.0,0.0,0.0,1.0,0.0,-2.0,1.0,0.0\n"
+                   "0.0,0.0,0.0,1.0,0.0,1.0,-2.0,0.0\n"
+                   "0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n")
+    assert built == []
+    for argv in (("local-h", "--spin", "1/2"), ("chain-h", "--spin", "1/2", "-L", "3")):
+        assert run_cli(*argv)[0] == 0
+    assert built == ["local-h", "chain-h"]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (coo_dense, csr_matvec_loop, full_index, kron_chain_hamiltonian,
-                     kron_site_operator)
+from oracles import (coo_dense, csr_matvec_loop, full_index, kron_bond_sum,
+                     kron_chain_hamiltonian, kron_site_operator)
 from xxxchain import hilbert
 from xxxchain.errors import InputRangeError
 from xxxchain.hamiltonian import ChainHamiltonian
@@ -245,15 +245,34 @@ def test_sector_blocks_match_dense_and_loop_oracles():
     assert vacuum.nnz == 0 and np.array_equal(vacuum @ np.ones(1), np.zeros(1))
 
 
-def test_sector_json():
-    payload = hilbert.sector_basis(Spin(1), 3, 1).to_json()
-    assert payload == {
-        "two_s": 1,
-        "L": 3,
-        "m": 1,
-        "dim": 3,
-        "states": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-    }
+def test_local_sum_blocks_match_kronecker_oracles():
+    # H is swap-symmetric on each bond, so its blocks cannot tell (j, k) from
+    # (k, j); a random lowering-conserving bond operator without that symmetry
+    # fixes the orientation of every bond, the wrap bond (L-1, 0) included
+    rng = np.random.default_rng(15)
+    for spin, length in ((Spin(1), 4), (Spin(2), 3), (Spin(3), 2)):
+        d, top = spin.dim, spin.two_s * length
+        lowering = np.add.outer(np.arange(d), np.arange(d)).ravel()
+        bond = np.where(lowering[:, None] == lowering, rng.normal(size=(d * d, d * d)), 0.0)
+        swap = np.arange(d * d).reshape(d, d).T.ravel()
+        assert np.max(np.abs(bond - bond[np.ix_(swap, swap)])) > 0.1
+        site = np.diag(rng.normal(size=d))
+        bonds = [(j, (j + 1) % length) for j in range(length)]
+        sites = [(j,) for j in range(length)]
+
+        def site_sum(op):
+            return sum(kron_site_operator(op, length, j, d) for j in range(length))
+
+        for op, terms, step, dense in ((bond, bonds, 0, kron_bond_sum(bond, length, d)),
+                                       (site, sites, 0, site_sum(site)),
+                                       (s_minus(spin), sites, 1, site_sum(s_minus(spin)))):
+            for m in range(top + 1 - step):
+                block = hilbert.local_sum_block(spin, length, m, op, terms, step)
+                expected = _restricted(dense, hilbert.sector_basis(spin, length, m + step),
+                                       hilbert.sector_basis(spin, length, m))
+                assert block.shape == expected.shape
+                assert block.nnz == np.count_nonzero(expected)
+                assert np.max(np.abs(block.toarray() - expected), initial=0.0) < 1e-13
 
 
 @settings(max_examples=30, deadline=None)

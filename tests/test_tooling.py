@@ -1,7 +1,8 @@
-"""The scripts under scripts/, the package's declared minimum Python and its
-runtime imports."""
+"""The scripts under scripts/, the benchmark's tracer, the package's declared
+minimum Python and its runtime imports."""
 
 import glob
+import importlib.util
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from test_cli import validate
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "xxxchain"
 RECONCILE_DEMO = ROOT / "scripts" / "reconcile_demo.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def run_script(path, *args, monkeypatch):
@@ -42,6 +44,42 @@ def test_reconcile_demo_rows_show_their_own_match(monkeypatch):
         assert (int(m), int(mult)) == (match["m"], match["multiplicity"])
         assert energy == f"{match['energy']:.10f}"
         assert gap == f"{match['max_gap']:.2e}"
+
+
+def _package_bindings():
+    """Identity of every name bound in the package's modules and of the
+    methods that the tracer wraps on their classes."""
+    from xxxchain.hamiltonian import ChainHamiltonian
+    from xxxchain.su2 import SiteSumOperator
+
+    owners = [mod for name, mod in sys.modules.items()
+              if mod is not None and (name == "xxxchain" or name.startswith("xxxchain."))]
+    owners += [ChainHamiltonian, SiteSumOperator]
+    return {(owner.__name__, attr): id(value)
+            for owner in owners for attr, value in list(vars(owner).items())}
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # `perfbench/run.py --trace 1` wraps functions by module attribute and
+    # methods through the class __dict__; a name that was deleted, or that a
+    # class only inherits, breaks the traced benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # the modules the tracer patches, loaded before the bindings are read
+    from xxxchain import bethe, cli, hamiltonian, hilbert, solver, su2, suite, verify  # noqa: F401
+    from xxxchain.su2 import Spin
+
+    before = _package_bindings()
+    tracer = tracing.Tracer().install()
+    try:
+        assert _package_bindings() != before
+        hamiltonian.ChainHamiltonian(Spin(1), 3).sector_matrix(1)
+    finally:
+        tracer.uninstall()
+    assert _package_bindings() == before
+    layers = {span[0] for span in tracer.spans}
+    assert {"hamiltonian.sector_matrix", "hilbert.sector_basis"} <= layers
 
 
 def _python310():
