@@ -49,15 +49,16 @@ def _spin(args, parser) -> Spin:
 
 
 def _cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
     env = os.environ.get("BETHE_CAP")
-    if not env:
+    if args.cap is None and not env:
         return DEFAULT_CAP
     try:
-        return int(env)
+        cap = args.cap if args.cap is not None else int(env)
     except ValueError:
         raise InputRangeError(f"BETHE_CAP must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise InputRangeError(f"the dimension cap must be at least 1, got {cap}")
+    return cap
 
 
 def _solver_options(args) -> SolverOptions:
@@ -85,9 +86,12 @@ def _matrix_rows(matrix):
 
 def cmd_beta(args, parser):
     spin = _spin(args, parser)
-    table = build_beta_table(spin)
-    _emit(args, table.to_json, ["m1", "m2", "n", "value"],
-          ((m1, m2, n, repr(v)) for (m1, m2, n), v in table.sorted_items()))
+    entries = sorted(build_beta_table(spin).items())
+    _emit(args, lambda: {"two_s": spin.two_s,
+                         "entries": [{"m1": m1, "m2": m2, "n": n, "value": v}
+                                     for (m1, m2, n), v in entries]},
+          ["m1", "m2", "n", "value"],
+          ((m1, m2, n, repr(v)) for (m1, m2, n), v in entries))
     return EXIT_OK
 
 
@@ -205,6 +209,8 @@ def _verify_checks(args, parser):
         if args.spin is None or args.length is None:
             parser.error("verify needs both --spin and -L to extend the chain grid")
         chain = (_spin(args, parser), args.length)
+        # a chain that cannot be built is a usage or cap error, not a failed check
+        ChainHamiltonian(*chain)
     return suite.run_all(seed=args.seed if args.seed is not None else 0, chain=chain)
 
 

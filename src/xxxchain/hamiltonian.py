@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,47 +63,24 @@ def beta(spin: Spin, m1: int, m2: int, n: int) -> float:
     return beta(spin, m2, m1, -n)
 
 
-class BetaTable:
-    """All window entries beta^n_{m1,m2} for one spin, built once and reused.
-
-    `entries` maps (m1, m2, n) -> value over the full window (zeros included).
-    """
-
-    def __init__(self, spin: Spin):
-        self.spin = spin
-        self.entries = {}
-        for m1 in range(spin.two_s + 1):
-            for m2 in range(spin.two_s + 1):
-                lo, hi = beta_window(spin, m1, m2)
-                for n in range(lo, hi + 1):
-                    self.entries[(m1, m2, n)] = beta(spin, m1, m2, n)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def sorted_items(self):
-        return sorted(self.entries.items())
-
-    def to_json(self):
-        return {
-            "two_s": self.spin.two_s,
-            "entries": [
-                {"m1": m1, "m2": m2, "n": n, "value": v}
-                for (m1, m2, n), v in self.sorted_items()
-            ],
-        }
-
-
 @lru_cache(maxsize=None)
-def build_beta_table(spin: Spin) -> BetaTable:
-    return BetaTable(spin)
+def build_beta_table(spin: Spin) -> MappingProxyType:
+    """Read-only map (m1, m2, n) -> beta^n_{m1,m2} over the full window
+    (zeros included), built once per spin."""
+    table = {}
+    for m1 in range(spin.two_s + 1):
+        for m2 in range(spin.two_s + 1):
+            lo, hi = beta_window(spin, m1, m2)
+            for n in range(lo, hi + 1):
+                table[(m1, m2, n)] = beta(spin, m1, m2, n)
+    return MappingProxyType(table)
 
 
 def local_h(spin: Spin) -> np.ndarray:
     """Dense (2s+1)^2 x (2s+1)^2 two-site Hamiltonian, first-site-major."""
     d = spin.dim
     out = np.zeros((d * d, d * d))
-    for (m1, m2, n), v in build_beta_table(spin).entries.items():
+    for (m1, m2, n), v in build_beta_table(spin).items():
         out[(m1 + n) * d + (m2 - n), m1 * d + m2] = v
     return out
 
@@ -115,7 +93,7 @@ def check_beta_recursions(spin: Spin) -> float:
     outside the single-site space.
     """
     two_s = spin.two_s
-    table = build_beta_table(spin).entries
+    table = build_beta_table(spin)
 
     def b(m1, m2, n):
         return table.get((m1, m2, n), 0.0)

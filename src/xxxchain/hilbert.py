@@ -8,7 +8,7 @@ exact diagonalization works in.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class SectorBasis:
     `full_indices` their first-site-major indices in the full (2s+1)^L space,
     the dot products with `weights` = ((2s+1)^(L-1), ..., 1).  Lexicographic
     order of the tuples is ascending order of those indices, so `full_indices`
-    is strictly ascending and lookups are binary searches.
+    is strictly ascending.
     """
 
     def __init__(self, spin: Spin, length: int, m: int, occupations: np.ndarray):
@@ -40,28 +40,6 @@ class SectorBasis:
 
     def __len__(self):
         return len(self.full_indices)
-
-    @cached_property
-    def states(self) -> tuple:
-        return tuple(map(tuple, self.occupations.tolist()))
-
-    def indices_of(self, occ) -> np.ndarray:
-        """Basis positions of the rows of an (k, L) occupation array; raises
-        KeyError if any row lies outside the sector."""
-        occ = np.atleast_2d(np.asarray(occ, dtype=np.int64))
-        if occ.shape[1] != self.length:
-            raise KeyError(f"occupations of length {occ.shape[1]}, chain has {self.length}")
-        idx = occ @ self.weights
-        pos = np.minimum(np.searchsorted(self.full_indices, idx), len(self) - 1)
-        # out-of-range digits can alias the index of another state
-        in_range = np.all((occ >= 0) & (occ <= self.spin.two_s), axis=1)
-        found = in_range & (self.full_indices[pos] == idx)
-        if not np.all(found):
-            raise KeyError(tuple(occ[np.argmin(found)].tolist()))
-        return pos
-
-    def index_of(self, occ) -> int:
-        return int(self.indices_of(occ)[0])
 
 
 def check_sector(spin: Spin, length: int, m: int):

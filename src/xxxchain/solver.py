@@ -205,14 +205,10 @@ def jacobian(lam, system: BetheSystem) -> np.ndarray:
     return _jacobians(_row(lam), system)[0]
 
 
-def classify_roots(lam, system: BetheSystem) -> Optional[str]:
-    """Reject reason for a converged iterate, or None: one row's `_reject_reasons`."""
-    return _reject_reasons(_row(lam), system.spin.s)[0]
-
-
 def _reject_reasons(lam: np.ndarray, s: float) -> np.ndarray:
-    """classify_roots of each row of an n x m array, the first reason that
-    applies in the order nonfinite, descendant, degenerate, singular."""
+    """Reject reason (or None) of each converged root set, the rows of an
+    n x m array: the first that applies in the order nonfinite, descendant,
+    degenerate, singular."""
     finite = np.isfinite(lam).all(axis=1)
     lam = np.where(finite[:, None], lam, 0.0)
     first, second = np.triu_indices(lam.shape[1], 1)
@@ -519,7 +515,7 @@ def order_key(energy: complex, lam) -> tuple:
 def _settle(system: BetheSystem, roots: np.ndarray, iterations, hamiltonian: ChainHamiltonian,
             registry: Optional[DeflationRegistry]) -> list:
     """Deflation, state build and certificate of the Newton roots (rows, in
-    catalog order) that `classify_roots` accepts: per row its RootCertificate
+    catalog order) that `_reject_reasons` accepts: per row its RootCertificate
     or NewtonFailureError.  Only root sets new to the registry get a state."""
     new = np.ones(len(roots), dtype=bool) if registry is None else registry.add_rows(roots)
     out = []
@@ -544,7 +540,7 @@ def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(system.spin, system.length)
     lam, iterations = newton_solve(system, seed, tol=opts.tol_newton, max_iter=opts.max_iter)
-    reason = classify_roots(lam, system)
+    reason = _reject_reasons(lam[None], system.spin.s)[0]
     if reason is not None:
         raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
     outcome = _settle(system, lam[None], [iterations], hamiltonian, registry)[0]

@@ -10,23 +10,23 @@ from typing import Optional
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, su2
 from .bethe import BetheState
 from .errors import PoleError, ResourceCapError
 from .hamiltonian import ChainHamiltonian
-from .su2 import DENSE_THRESHOLD, Spin, s_minus, s_z
+from .su2 import Spin, s_minus, s_z
 
 
 def sector_eigh(spin: Spin, length: int, m: int, vectors: bool = False,
-                hamiltonian: ChainHamiltonian = None,
-                dense_threshold: int = DENSE_THRESHOLD):
-    """Dense Hermitian eigendecomposition of one fixed-m block, ascending."""
+                hamiltonian: ChainHamiltonian = None):
+    """Dense Hermitian eigendecomposition of one fixed-m block, ascending;
+    a block above su2.DENSE_THRESHOLD states raises ResourceCapError."""
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(spin, length)
     basis = hilbert.sector_basis(spin, length, m)
-    if len(basis) > dense_threshold:
+    if len(basis) > su2.DENSE_THRESHOLD:
         raise ResourceCapError(
-            f"sector dimension {len(basis)} exceeds dense threshold {dense_threshold}"
+            f"sector dimension {len(basis)} exceeds dense threshold {su2.DENSE_THRESHOLD}"
         )
     block = hamiltonian.sector_matrix(m).toarray()
     if vectors:
@@ -112,14 +112,6 @@ def highest_weight_residual(state: BetheState) -> float:
         return 0.0
     up = hilbert.sector_s_plus(state.spin, state.length, state.m)
     return float(np.linalg.norm(up @ state.vector) / state.norm)
-
-
-def descend(spin: Spin, length: int, m: int, vec: np.ndarray, times: int = 1):
-    """Apply S^- repeatedly, returning the vector in the (m + times) sector."""
-    out = vec
-    for step in range(times):
-        out = hilbert.sector_s_minus(spin, length, m + step) @ out
-    return out
 
 
 def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> SpectrumReport:

@@ -218,6 +218,14 @@ def full_index(occ, dim: int) -> int:
     return idx
 
 
+def basis_position(basis, occ) -> int:
+    """Position of an occupation tuple in a sector basis: a binary search for
+    its full index, checked against the stored occupations."""
+    pos = int(np.searchsorted(basis.full_indices, full_index(occ, basis.spin.dim)))
+    assert basis.occupations[pos].tolist() == list(occ)
+    return pos
+
+
 def kron_site_operator(op, length, site, dim):
     return np.kron(np.kron(np.eye(dim**site), op), np.eye(dim ** (length - site - 1)))
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import amplitude_by_recursion, plane_wave_sum, plane_wave_sums, reduced_word
+from oracles import (amplitude_by_recursion, basis_position, plane_wave_sum, plane_wave_sums,
+                     reduced_word)
 from xxxchain import bethe, hilbert
 from xxxchain.errors import (
     DegenerateRootsError,
@@ -246,7 +247,7 @@ def test_build_state_m1_spin_half_L2():
     state = bethe.build_bethe_state(Spin(1), 2, k=[np.pi])
     vec = state.vector / state.vector[np.argmax(np.abs(state.vector))]
     basis = state.basis
-    assert abs(vec[basis.index_of((1, 0))] + vec[basis.index_of((0, 1))]) < 1e-12
+    assert abs(vec[basis_position(basis, (1, 0))] + vec[basis_position(basis, (0, 1))]) < 1e-12
     ham = ChainHamiltonian(Spin(1), 2)
     hv = ham.sector_matrix(1) @ state.vector
     assert np.max(np.abs(hv + 4.0 * state.vector)) < 1e-12
@@ -261,7 +262,7 @@ def test_build_state_matches_coordinate_sum():
     direct = np.zeros(len(basis), dtype=complex)
     for x in range(1, length + 1):
         # |x> carries the normalization sqrt(C(2s, 1))
-        direct[basis.index_of(np.eye(length, dtype=int)[x - 1])] = (
+        direct[basis_position(basis, np.eye(length, dtype=int)[x - 1])] = (
             np.exp(1j * k[0] * x) * math.sqrt(spin.two_s))
     assert np.max(np.abs(state.vector - direct)) < 1e-12
 
@@ -270,7 +271,7 @@ def _coordinate_amplitudes(state, k, rows):
     """a(x) * prod_j sqrt(C(2s, m_j)) at the given basis rows, from the scalar
     oracle rather than amplitude_a, which shares the kernel under test."""
     two_s = state.spin.two_s
-    occs = [state.basis.states[i] for i in rows]
+    occs = state.basis.occupations[rows].tolist()
     alpha = [math.prod(math.sqrt(math.comb(two_s, mj)) for mj in occ) for occ in occs]
     xs = [tuple(site + 1 for site, mj in enumerate(occ) for _ in range(mj)) for occ in occs]
     return plane_wave_sums(xs, k, state.spin) * np.array(alpha)

@@ -214,6 +214,15 @@ def test_bad_seed_and_cap_are_usage_errors(monkeypatch):
     assert code == 2 and not out and "BETHE_CAP" in err
 
 
+def test_cap_below_one_is_usage_error(monkeypatch):
+    for cap in ("0", "-5"):
+        code, out, err = run_cli("chain-h", "--spin", "1/2", "-L", "4", "--cap", cap)
+        assert code == 2 and not out and "cap must be at least 1" in err, cap
+    code, out, err = run_cli("chain-h", "--spin", "1/2", "-L", "4",
+                             env={"BETHE_CAP": "-1"}, monkeypatch=monkeypatch)
+    assert code == 2 and not out and "cap must be at least 1" in err
+
+
 def test_unknown_strategy_is_usage_error():
     code, out, err = run_cli("solve", "--spin", "1", "-L", "4", "-m", "2",
                              "--strategy", "two-string")
@@ -299,6 +308,17 @@ def test_verify_extended_chain_grid():
     assert any("vacuum-annihilated[s=3/2,L=3]" == n for n in names)
     code, _, _ = run_cli("verify", "--spin", "3/2")
     assert code == 2  # -L required alongside --spin
+
+
+def test_verify_short_chain_is_usage_error():
+    # rejected before the suite runs, not reported as a failed check
+    code, out, err = run_cli("verify", "--spin", "1/2", "-L", "1")
+    assert code == 2 and not out and "chain length" in err
+
+
+def test_verify_chain_above_cap_is_resource_error():
+    code, out, err = run_cli("verify", "--spin", "1/2", "-L", "30")
+    assert code == 3 and not out and "exceeds cap" in err
 
 
 def test_verify_names_each_grid_chain_once():

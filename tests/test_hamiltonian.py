@@ -1,8 +1,13 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xxxchain import cli
 from xxxchain.errors import InputRangeError, ResourceCapError, WindowError
 from xxxchain.hamiltonian import (
     ChainHamiltonian,
@@ -38,12 +43,16 @@ def test_beta_examples():
 def test_beta_symmetry_exact():
     for spin in SPINS:
         table = build_beta_table(spin)
-        for (m1, m2, n), value in table.entries.items():
+        for (m1, m2, n), value in table.items():
             assert beta(spin, m2, m1, -n) == value
 
 
 def test_beta_table_size_spin_half():
-    assert len(build_beta_table(Spin(1))) == 6
+    table = build_beta_table(Spin(1))
+    assert len(table) == 6
+    # cached and shared, so read-only
+    with pytest.raises(TypeError):
+        table[(0, 0, 0)] = 1.0
 
 
 def test_local_h_spin_half_exact():
@@ -172,7 +181,10 @@ def test_beta_symmetry_property(two_s, data):
 
 
 def test_beta_json_sorted():
-    payload = build_beta_table(Spin(2)).to_json()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["beta", "--spin", "1"]) == 0
+    payload = json.loads(out.getvalue())
     keys = [(e["m1"], e["m2"], e["n"]) for e in payload["entries"]]
     assert keys == sorted(keys)
     assert payload["two_s"] == 2

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     PolyRegistry,
+    basis_position,
     classify_loop,
     fd_jacobian,
     naive_bethe_terms,
@@ -21,7 +22,6 @@ from xxxchain.solver import (
     DeflationRegistry,
     SolverOptions,
     bethe_residual,
-    classify_roots,
     free_momenta_rapidities,
     jacobian,
     newton_batch,
@@ -280,11 +280,10 @@ def test_solver_emits_no_runtime_warnings():
 
 def test_classification():
     system = BetheSystem(Spin(1), 4, 2)
-    assert classify_roots([1e9, 0.4], system) == "descendant"
-    assert classify_roots([0.4, 0.4 + 1e-8j], system) == "degenerate"
-    assert classify_roots([0.5j + 1e-4, -0.5j], system) == "singular"
-    assert classify_roots([np.nan, 0.1], system) == "nonfinite"
-    assert classify_roots([0.29, -0.29], system) is None
+    rows = np.array([[1e9, 0.4], [0.4, 0.4 + 1e-8j], [0.5j + 1e-4, -0.5j], [np.nan, 0.1],
+                     [0.29, -0.29]])
+    assert list(solver._reject_reasons(rows, system.spin.s)) == [
+        "descendant", "degenerate", "singular", "nonfinite", None]
 
 
 def test_reject_reasons_match_scalar_loop():
@@ -296,7 +295,6 @@ def test_reject_reasons_match_scalar_loop():
     expected = [classify_loop(row, system.spin.s) for row in rows]
     assert list(reasons) == expected == ["nonfinite", "nonfinite", "descendant", "degenerate",
                                          "singular", "degenerate", None]
-    assert [classify_roots(row, system) for row in rows] == expected
 
 
 def test_random_seeds_are_the_one_seed_draws():
@@ -555,7 +553,7 @@ def test_singular_pair_state_even_lengths():
         for x in range(1, length + 1):
             occ = np.zeros(length, dtype=int)
             occ[[x - 1, x % length]] = 1
-            expected[state.basis.index_of(occ)] += (-1) ** x
+            expected[basis_position(state.basis, occ)] += (-1) ** x
         assert np.array_equal(state.vector, expected)
         assert state.energy == -2.0
         assert eigen_residual(state) < 1e-14
@@ -580,7 +578,7 @@ def test_repeated_rapidity_solutions_are_excluded():
     system = BetheSystem(spin, length, m)
     repeated = np.array([0.0, 0.0], dtype=complex)
     assert np.max(np.abs(bethe_residual(repeated, system))) < 1e-12
-    assert classify_roots(repeated, system) == "degenerate"
+    assert solver._reject_reasons(repeated[None], spin.s)[0] == "degenerate"
     spectrum = sector_eigh(spin, length, m)
     assert np.min(np.abs(spectrum - (-8.0 / 3.0))) < 1e-9
     energies = [c.energy.real for c in solve_sector(spin, length, m)]

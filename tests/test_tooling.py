@@ -21,6 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "xxxchain"
 RECONCILE_DEMO = ROOT / "scripts" / "reconcile_demo.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(path, *args, monkeypatch):
@@ -63,9 +71,7 @@ def test_benchmark_tracer_installs_and_uninstalls():
     # `perfbench/run.py --trace 1` wraps functions by module attribute and
     # methods through the class __dict__; a name that was deleted, or that a
     # class only inherits, breaks the traced benchmark
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_module("perfbench_tracing", TRACING)
     # the modules the tracer patches, loaded before the bindings are read
     from xxxchain import bethe, cli, hamiltonian, hilbert, solver, su2, suite, verify  # noqa: F401
     from xxxchain.su2 import Spin
@@ -80,6 +86,17 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert _package_bindings() == before
     layers = {span[0] for span in tracer.spans}
     assert {"hamiltonian.sector_matrix", "hilbert.sector_basis"} <= layers
+
+
+def test_benchmark_workloads_build_their_operations():
+    # the benchmark imports names from the package and builds its operation
+    # lists from them; a trimmed export or a changed signature breaks it here
+    workloads = load_module("perfbench_workloads", WORKLOADS)
+    for part, build in workloads.PARTS.items():
+        ops = build(0)
+        assert ops, part
+        assert all(callable(op.run) and callable(op.check) and callable(op.tally)
+                   for op in ops), part
 
 
 def _python310():

@@ -10,7 +10,6 @@ from xxxchain.solver import solve_sector
 from xxxchain.su2 import Spin, s_minus
 from xxxchain.verify import (
     aba_phi1,
-    descend,
     eigen_residual,
     exact_diagonalize,
     highest_weight_residual,
@@ -95,7 +94,9 @@ def test_multiplet_nilpotency():
     for cert in solve_sector(spin, length, 1):
         state = cert.state
         dim_multiplet = spin.two_s * length - 2 * state.m + 1
-        vec = descend(spin, length, state.m, state.vector, times=dim_multiplet - 1)
+        vec = state.vector
+        for step in range(dim_multiplet - 1):
+            vec = hilbert.sector_s_minus(spin, length, state.m + step) @ vec
         assert np.linalg.norm(vec) > 1e-9  # bottom of the multiplet still there
         below = hilbert.sector_s_minus(spin, length, state.m + dim_multiplet - 1) @ vec
         assert np.linalg.norm(below) / np.linalg.norm(vec) < 1e-9
@@ -173,7 +174,7 @@ def test_aba_phi1_closed_form():
         direct = np.zeros(len(basis), dtype=complex)
         amp = 1j / (lam + 1j * spin.s)
         for x in range(1, length + 1):
-            direct[basis.index_of(np.eye(length, dtype=int)[x - 1])] = (
+            direct[oracles.basis_position(basis, np.eye(length, dtype=int)[x - 1])] = (
                 amp * u**x * np.sqrt(spin.two_s)
             )
         assert np.max(np.abs(phi - direct)) < 1e-12 * np.max(np.abs(direct))
@@ -182,7 +183,8 @@ def test_aba_phi1_closed_form():
 def test_aba_phi1_spin_half_L2_at_zero():
     phi = aba_phi1(Spin(1), 2, 0.0)
     basis = hilbert.sector_basis(Spin(1), 2, 1)
-    ratio = phi[basis.index_of((1, 0))] / phi[basis.index_of((0, 1))]
+    ratio = (phi[oracles.basis_position(basis, (1, 0))]
+             / phi[oracles.basis_position(basis, (0, 1))])
     assert abs(ratio + 1.0) < 1e-13  # proportional to |1> - |2>
 
 
@@ -206,8 +208,9 @@ def test_aba_overlap_with_psi1():
 def test_sector_eigh_cap():
     from xxxchain.errors import ResourceCapError
 
+    # 12,870 states: raises before the block is built
     with pytest.raises(ResourceCapError):
-        sector_eigh(Spin(1), 4, 2, dense_threshold=2)
+        sector_eigh(Spin(1), 16, 8)
 
 
 def test_sigma_rapidity_form_check_is_scale_relative():
