@@ -6,7 +6,8 @@ with u = e^{ik}.  The closed product form used here is
     A_P = prod_{j<k} (1 - (1/2s) (u_{Pj}-1)(u_{Pk}-1) / (u_{Pj}-u_{Pk})),
 
 which satisfies the exchange relation together with the coinciding-coordinate
-constraint; the recursion itself is kept as a test oracle only.
+constraint; the recursion itself is kept as a test oracle only.  The sum over
+P in a(x) runs over subsets of the momenta instead, as A_P is a pair product.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .su2 import Spin
 POLE_TOL = 1e-10
 U_DEGENERACY_TOL = 1e-9
 SIGMA_DENOM_TOL = 1e-13
-# bound on the (permutations x basis states) work array of one Bethe-vector block
+# bound on the widest (subset, member) x (batch x rows) layer of one plane-wave block
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -85,6 +86,21 @@ def sigma_lambda(lam, mu):
 @lru_cache(maxsize=None)
 def permutations_of(m: int) -> tuple:
     return tuple(itertools.permutations(range(m)))
+
+
+@lru_cache(maxsize=None)
+def subsets_of(m: int) -> tuple:
+    """Read-only (members, rest) for t = 1..m: members[i] is the i-th t-subset S
+    of range(m), rest[i, j] the index of S less members[i, j] in layer t - 1."""
+    layers, index = [], {(): 0}
+    for t in range(1, m + 1):
+        subsets = list(itertools.combinations(range(m), t))
+        rest = [[index[s[:j] + s[j + 1:]] for j in range(t)] for s in subsets]
+        layers.append(tuple(np.array(a, dtype=np.intp) for a in (subsets, rest)))
+        index = {s: i for i, s in enumerate(subsets)}
+    for arr in (arr for layer in layers for arr in layer):
+        arr.flags.writeable = False
+    return tuple(layers)
 
 
 def _check_momenta(u: np.ndarray):
@@ -186,39 +202,40 @@ class BetheState:
 
 
 def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
-    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every row x of the (n, m)
-    integer array `coords`, and sum_P |A_P|.
-
-    Rows need not be ordered and may hold any integers.  The sum runs over
-    blocks of permutations, each block's (permutations x rows) work array
-    holding at most about BLOCK_ENTRIES entries.
-    """
-    n, m = coords.shape
-    if m == 0:
-        return np.ones(n, dtype=complex), 1.0
-    # u_j^x for x = lo..hi, as running products outward from u^0 = 1
-    lo, hi = min(0, int(coords.min())), max(0, int(coords.max()))
-    upow = np.ones((m, hi - lo + 1), dtype=complex)
-    upow[:, 1 - lo:] = np.cumprod(np.broadcast_to(u[:, None], (m, hi)), axis=1)
-    upow[:, :-lo] = np.cumprod(np.broadcast_to(1.0 / u[:, None], (m, -lo)), axis=1)[:, ::-1]
-    cols = coords - lo
+    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every row x, ordered or not, of
+    the (..., n, m) integer `coords`, with the momenta u[..., :] of its batch
+    entry, and sum_P |A_P|.  P_t = p multiplies A_P by prod_{q in S} factor[q, p]
+    over the earlier momenta S in any order, so one partial sum per subset S
+    stands for all m! orderings.  Blocks of (batch x rows) keep the widest
+    layer within about BLOCK_ENTRIES entries."""
+    batch, (n, m) = u.shape[:-1], coords.shape[-2:]
+    lo, hi = int(coords.min(initial=0)), int(coords.max(initial=0))
+    u, cols = u.reshape(math.prod(batch), m), coords.reshape(math.prod(batch), n, m) - lo
+    # u_p^x at pos[b, p] + x - lo of upow, for x = lo..hi, as running products from u^lo
+    upow = u[:, :, None].repeat(hi - lo + 1, axis=-1)
+    upow[..., 0] = u ** lo
+    pos = np.arange(0, upow.size, hi - lo + 1).reshape(u.shape + (1,))
+    upow = upow.cumprod(axis=-1).ravel()
     factor = _pair_factors(u, spin)
-    first, second = np.triu_indices(m, 1)
-
-    perms = np.array(permutations_of(m), dtype=np.intp)
-    block = max(1, BLOCK_ENTRIES // n)
-    vec = np.zeros(n, dtype=complex)
-    amp_sum = 0.0
-    for start in range(0, len(perms), block):
-        pb = perms[start:start + block]
-        amps = np.prod(factor[pb[:, first], pb[:, second]], axis=1)
-        # row P_t of the (m, n) table u_p^{x_t}: a row gather, not a scatter
-        terms = upow[:, cols[:, 0]][pb[:, 0]]
-        for t in range(1, m):
-            terms *= upow[:, cols[:, t]][pb[:, t]]
-        vec += amps @ terms
-        amp_sum += float(np.sum(np.abs(amps)))
-    return vec, amp_sum
+    factor[:, range(m), range(m)] = 1.0
+    # coef[b, S, j] = prod_{q in S - p} factor[q, p] for p = members[S, j], by factor[p, p] = 1
+    layers = [(members, rest, factor[:, members[:, :, None], members[:, None]].prod(axis=-2))
+              for members, rest in subsets_of(m)]
+    amp_sum = np.ones((len(u), 1))
+    for _, rest, coef in layers:
+        amp_sum = (amp_sum[:, rest] * abs(coef)).sum(axis=-1)
+    limit = max(1, BLOCK_ENTRIES // max((members.size for members, _, _ in layers), default=1))
+    nb, nr = max(1, limit // n), min(n, limit)
+    vec = np.empty((len(u), n), dtype=complex)
+    for b, r in itertools.product(range(0, len(u), nb), range(0, n, nr)):
+        f = np.ones((1, 1, 1), dtype=complex)
+        for t, (members, rest, coef) in enumerate(layers):
+            # w[b, p, r] = u_p^{x_t} of row r; one member at a time keeps temporaries a layer wide
+            w = upow[pos[b:b + nb] + cols[b:b + nb, None, r:r + nr, t]]
+            f = sum(f[:, rest[:, j]] * coef[b:b + nb, :, j, None] * w[:, members[:, j]]
+                    for j in range(t + 1))
+        vec[b:b + nb, r:r + nr] = f[:, 0]
+    return vec.reshape(batch + (n,)), amp_sum[:, 0].reshape(batch)
 
 
 def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:

@@ -202,10 +202,10 @@ def coinciding_constraint(seed=0):
     worst = 0.0
     for spin in LOCAL_SPINS:
         ts = spin.two_s
+        drawn = {}  # draws mix m: drawn singly, evaluated per m
         for _ in range(30):
             m = int(rng.integers(2, 5))
             k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
-            u = np.exp(1j * k)
             i = int(rng.integers(m - 1))
             x = np.sort(rng.integers(1, 7, size=m))
             x[i + 1] = x[i]
@@ -213,9 +213,12 @@ def coinciding_constraint(seed=0):
             rows = np.tile(x, (4, 1))
             rows[[0, 1], i] += 1
             rows[[0, 2], i + 1] += 1
-            a = bethe._plane_wave_sum(rows, u, spin)[0]
+            drawn.setdefault(m, []).append((np.exp(1j * k), rows))
+        for group in drawn.values():
+            u, rows = (np.array(col) for col in zip(*group))
+            a = bethe._plane_wave_sum(rows, u, spin)[0].T
             val = a[0] + (ts - 1) * a[1] - (ts + 1) * a[2] + a[3]
-            worst = np.maximum(worst, abs(val) / max(abs(a[3]), abs(a[0]), 1.0))
+            worst = np.maximum(worst, np.max(abs(val) / np.max(abs(a[[0, 3]]), 0, initial=1.0)))
     return _check("coinciding-coordinate-constraint", worst, 1e-11)
 
 

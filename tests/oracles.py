@@ -5,10 +5,10 @@ package code paths it checks: dense Kronecker products instead of axis-moved
 tensor contractions, axis-moved contractions instead of per-entry strided
 site updates, scalar loops instead of the sector blocks' array build and
 product, the exchange recursion instead of the closed amplitude
-product, a scalar permutation loop instead of the blocked plane-wave kernel,
+product, a scalar permutation loop instead of the subset-sum plane-wave kernel,
 centered finite differences instead of the analytic Jacobian, one Newton run
 per seed instead of the lockstep batch, one scalar kernel call per sample
-instead of the suite's array-drawn sampled checks, scalar loops and np.poly
+instead of the suite's batched sampled checks, scalar loops and np.poly
 instead of the solver's array classification, seed draws and deflation.
 """
 
@@ -62,10 +62,9 @@ def amplitude_by_recursion(perm, k, spin: Spin, reverse_scan=False):
     return amp
 
 
-def plane_wave_sums(xs, k, spin: Spin):
-    """a(x) as the raw m!-term sum at each coordinate tuple x in `xs`, defined
-    for arbitrary (even unordered) x, with A_P multiplied up one scalar pair
-    factor at a time."""
+def permutation_amplitudes(k, spin: Spin):
+    """(P, A_P) for every permutation P, with A_P multiplied up one scalar
+    pair factor at a time."""
     u = np.exp(1j * np.asarray(k, dtype=complex))
     amplitudes = []
     for perm in itertools.permutations(range(len(u))):
@@ -75,6 +74,14 @@ def plane_wave_sums(xs, k, spin: Spin):
                 a, b = u[perm[j]], u[perm[l]]
                 amp *= 1.0 - (a - 1.0) * (b - 1.0) / (spin.two_s * (a - b))
         amplitudes.append((perm, amp))
+    return amplitudes
+
+
+def plane_wave_sums(xs, k, spin: Spin):
+    """a(x) as the raw m!-term sum at each coordinate tuple x in `xs`, defined
+    for arbitrary (even unordered) x."""
+    u = np.exp(1j * np.asarray(k, dtype=complex))
+    amplitudes = permutation_amplitudes(k, spin)
     out = []
     for x in xs:
         total = 0.0 + 0.0j
@@ -369,6 +376,28 @@ def energy_forms_loop(seed=0, samples=200):
             k = bethe.lambda_to_k(lam, spin)
             worst = max(worst, abs(bethe.energy_lambda(lam, spin) - bethe.energy_k(k, spin)))
     return _check("energy-form-equality", worst, 1e-12)
+
+
+def coinciding_constraint_loop(seed=0, samples=30):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for spin in LOCAL_SPINS:
+        ts = spin.two_s
+        for _ in range(samples):
+            m = int(rng.integers(2, 5))
+            k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+            i = int(rng.integers(m - 1))
+            x = sorted(int(v) for v in rng.integers(1, 7, size=m))
+            x[i + 1] = x[i]
+            # rows x + e_i + e_{i+1}, x + e_i, x + e_{i+1}, x
+            rows = [list(x) for _ in range(4)]
+            for row, steps in zip(rows, ((1, 1), (1, 0), (0, 1), (0, 0))):
+                row[i] += steps[0]
+                row[i + 1] += steps[1]
+            a = plane_wave_sums(rows, k, spin)
+            val = a[0] + (ts - 1) * a[1] - (ts + 1) * a[2] + a[3]
+            worst = max(worst, abs(val) / max(abs(a[3]), abs(a[0]), 1.0))
+    return _check("coinciding-coordinate-constraint", worst, 1e-11)
 
 
 def exchange_relation_loop(seed=0, samples=40):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (amplitude_by_recursion, basis_position, plane_wave_sum, plane_wave_sums,
-                     reduced_word)
+from oracles import (amplitude_by_recursion, basis_position, permutation_amplitudes,
+                     plane_wave_sum, plane_wave_sums, reduced_word)
 from xxxchain import bethe, hilbert
 from xxxchain.errors import (
     DegenerateRootsError,
@@ -288,16 +288,73 @@ def test_build_state_equals_coordinate_amplitudes():
             assert np.max(np.abs(state.vector - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def test_build_state_blocks_permutations():
+def test_build_state_blocks_rows(monkeypatch):
     spin, length, m = Spin(1), 14, 7
     rng = np.random.default_rng(12)
     k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+    whole = bethe.build_bethe_state(spin, length, k=k)
+    widest = max(members.size for members, _ in bethe.subsets_of(m))
+    assert widest * len(whole.basis) <= bethe.BLOCK_ENTRIES
+    # 1,000 rows a block splits the 3,432 rows into four
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 1000 * widest)
     state = bethe.build_bethe_state(spin, length, k=k)
-    # the permutation sum does not fit one block, so it is split
-    assert math.factorial(m) * len(state.basis) > bethe.BLOCK_ENTRIES
+    scale = np.max(np.abs(whole.vector))
+    assert np.max(np.abs(state.vector - whole.vector)) <= 1e-14 * scale
     rows = rng.choice(len(state.basis), size=25, replace=False)
     expected = _coordinate_amplitudes(state, k, rows)
-    assert np.max(np.abs(state.vector[rows] - expected)) < 1e-12 * np.max(np.abs(state.vector))
+    assert np.max(np.abs(state.vector[rows] - expected)) < 1e-12 * scale
+
+
+def test_plane_wave_sum_blocks_batches(monkeypatch):
+    spin, m = Spin(2), 4
+    rng = np.random.default_rng(5)
+    u = np.exp(1j * (rng.normal(size=(3, m)) + 0.3j * rng.normal(size=(3, m))))
+    coords = rng.integers(-3, 9, size=(3, 40, m))
+    vec, amp_sum = bethe._plane_wave_sum(coords, u, spin)
+    widest = max(members.size for members, _ in bethe.subsets_of(m))
+    # two momentum sets a block, then 15 rows of one set a block
+    for limit in (2 * 40, 15):
+        monkeypatch.setattr(bethe, "BLOCK_ENTRIES", limit * widest)
+        blocked, blocked_sum = bethe._plane_wave_sum(coords, u, spin)
+        assert np.max(np.abs(blocked - vec)) <= 1e-14 * np.max(np.abs(vec))
+        assert np.array_equal(blocked_sum, amp_sum)
+
+
+def test_plane_wave_sum_matches_permutation_oracle():
+    # unordered rows, with coordinates <= 0 and beyond a chain of length 8
+    rng = np.random.default_rng(21)
+    for m in range(8):
+        spin = SPINS[m % len(SPINS)]
+        k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+        coords = rng.integers(-5, 14, size=(6, m))
+        vec, amp_sum = bethe._plane_wave_sum(coords, np.exp(1j * k), spin)
+        expected = plane_wave_sums(coords.tolist(), k, spin)
+        assert np.max(np.abs(vec - expected)) <= 1e-12 * np.max(np.abs(expected)), m
+        expected_sum = sum(abs(amp) for _, amp in permutation_amplitudes(k, spin))
+        assert abs(amp_sum - expected_sum) <= 1e-12 * expected_sum, m
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 5])
+def test_plane_wave_sum_batch_equals_one_row_calls(m):
+    spin = Spin(3)
+    rng = np.random.default_rng(m)
+    u = np.exp(1j * (rng.normal(size=(2, 3, m)) + 0.3j * rng.normal(size=(2, 3, m))))
+    coords = rng.integers(-4, 10, size=(2, 3, 5, m))
+    vec, amp_sum = bethe._plane_wave_sum(coords, u, spin)
+    assert vec.shape == (2, 3, 5) and amp_sum.shape == (2, 3)
+    for b in np.ndindex(2, 3):
+        for r in range(5):
+            one, one_sum = bethe._plane_wave_sum(coords[b][r:r + 1], u[b], spin)
+            assert abs(vec[b][r] - one[0]) <= 1e-14 * abs(one[0]), (b, r)
+            assert abs(amp_sum[b] - one_sum) <= 1e-14 * one_sum, b
+
+
+def test_cached_subset_tables_are_read_only():
+    assert bethe.subsets_of(4) is bethe.subsets_of(4)
+    for table in bethe.subsets_of(4):
+        for arr in table:
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 def test_build_state_sz_eigenvalue():

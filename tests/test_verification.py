@@ -226,6 +226,7 @@ SAMPLED_CHECKS = (
     (suite.sigma_rapidity_form, oracles.sigma_rapidity_form_loop),
     (suite.energy_forms, oracles.energy_forms_loop),
     (suite.exchange_relation, oracles.exchange_relation_loop),
+    (suite.coinciding_constraint, oracles.coinciding_constraint_loop),
 )
 # NumPy rounds complex products differently on arrays and on scalars, so the
 # worst values of sigma-unitarity-braid and amplitude-exchange-relation agree
@@ -257,6 +258,15 @@ def test_sampled_checks_equal_scalar_loops(check, loop):
         assert (name, passed) == (loop_name, loop_passed), (seed, detail, loop_detail)
         if name in EXACT_DETAIL:
             assert detail == loop_detail, seed
+
+
+def test_coinciding_constraint_worst_equals_scalar_loop():
+    # the batched kernel sums subsets, the loop permutations: the worst
+    # values agree to rounding
+    for seed in (0, 40, 74, 111, 179, 190):
+        worst, loop_worst = (float(check(seed)[2].split()[2]) for check in (
+            suite.coinciding_constraint, oracles.coinciding_constraint_loop))
+        assert abs(worst - loop_worst) <= 1e-13, seed
 
 
 class _LatticeRng:
@@ -334,7 +344,7 @@ def test_coinciding_constraint_fails_on_nan(monkeypatch):
     assert suite.coinciding_constraint()[1]
 
     def nan_sum(coords, u, spin):
-        return np.full(len(coords), np.nan, dtype=complex), np.nan
+        return np.full(coords.shape[:-1], np.nan, dtype=complex), np.full(u.shape[:-1], np.nan)
 
     monkeypatch.setattr(bethe, "_plane_wave_sum", nan_sum)
     name, passed, detail = suite.coinciding_constraint()
