@@ -121,17 +121,6 @@ def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
     return 1.0 - (u - 1.0)[..., :, None] * (u - 1.0)[..., None, :] / (spin.two_s * diff)
 
 
-def amplitude_AP(perm, k, spin: Spin) -> complex:
-    """Closed-form plane-wave amplitude A_P for the permutation `perm` (0-based)."""
-    u = np.exp(1j * np.asarray(k, dtype=complex))
-    if sorted(perm) != list(range(len(u))):
-        raise ValueError(f"{perm} is not a permutation of 0..{len(u) - 1}")
-    _check_momenta(u)
-    perm = np.asarray(perm, dtype=np.intp)
-    first, second = np.triu_indices(len(u), 1)
-    return complex(np.prod(_pair_factors(u, spin)[perm[first], perm[second]]))
-
-
 def amplitude_a(x, k, spin: Spin) -> complex:
     """Wavefunction amplitude a(x_1,...,x_m) = sum_P A_P prod_t u_{Pt}^{x_t}."""
     x = tuple(x)

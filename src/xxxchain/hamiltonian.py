@@ -94,33 +94,27 @@ def check_beta_recursions(spin: Spin) -> float:
     """
     two_s = spin.two_s
     table = build_beta_table(spin)
+    # beta^n_{m1,m2} at beta[m1 + 1, m2 + 1, n + pad], <k+1|S^-|k> at lower[k + pad]
+    # and <k-1|S^+|k> at upper[k + pad], zero past every index the recursions reach
+    pad = two_s + 2
+    beta = np.zeros((two_s + 3, two_s + 3, 2 * pad + 1))
+    keys = np.array(list(table))
+    beta[keys[:, 0] + 1, keys[:, 1] + 1, keys[:, 2] + pad] = list(table.values())
+    lower, upper = np.zeros(3 * pad), np.zeros(3 * pad)
+    lower[pad:pad + two_s] = np.diagonal(s_minus(spin), -1)
+    upper[pad + 1:pad + two_s + 1] = np.diagonal(s_plus(spin), 1)
+    m1, m2, n = np.ix_(range(two_s + 1), range(two_s + 1), range(-two_s - 1, two_s + 2))
 
-    def b(m1, m2, n):
-        return table.get((m1, m2, n), 0.0)
+    def b(a, c, k):
+        return beta[a + 1, c + 1, k + pad]
 
-    def ladder(local, row, col):
-        return local[row][col] if 0 <= min(row, col) and max(row, col) <= two_s else 0.0
-
-    lower, upper = s_minus(spin).tolist(), s_plus(spin).tolist()
     worst = 0.0
-    for m1 in range(two_s + 1):
-        for m2 in range(two_s + 1):
-            for n in range(-two_s - 1, two_s + 2):
-                lhs = ladder(lower, m1 + 1, m1) * b(m1 + 1, m2, n)
-                rhs = (
-                    ladder(lower, m2 - n, m2 - n - 1) * b(m1, m2, n + 1)
-                    - ladder(lower, m2 + 1, m2) * b(m1, m2 + 1, n + 1)
-                    + ladder(lower, m1 + n + 1, m1 + n) * b(m1, m2, n)
-                )
-                worst = np.maximum(worst, abs(lhs - rhs))
-
-                lhs = ladder(upper, m1 - 1, m1) * b(m1 - 1, m2, n)
-                rhs = (
-                    ladder(upper, m2 - n, m2 - n + 1) * b(m1, m2, n - 1)
-                    - ladder(upper, m2 - 1, m2) * b(m1, m2 - 1, n - 1)
-                    + ladder(upper, m1 + n - 1, m1 + n) * b(m1, m2, n)
-                )
-                worst = np.maximum(worst, abs(lhs - rhs))
+    for sign, ladder in ((1, lower), (-1, upper)):
+        lhs = ladder[m1 + pad] * b(m1 + sign, m2, n)
+        rhs = (ladder[m2 - n - sign + pad] * b(m1, m2, n + sign)
+               - ladder[m2 + pad] * b(m1, m2 + sign, n + sign)
+               + ladder[m1 + n + pad] * b(m1, m2, n))
+        worst = np.maximum(worst, np.abs(lhs - rhs).max())
     return worst
 
 

@@ -117,6 +117,24 @@ class SectorBlock:
         return out
 
 
+@lru_cache(maxsize=None)
+def _column_table(dim: int, width: int, data: bytes) -> tuple:
+    """Read-only (radix, moves, values) of the operator on `width` sites of dimension
+    `dim` with float64 entries `data`: each site's place value, and the off-diagonal
+    entries of each column by ascending row, as digit changes and values, padded."""
+    op = np.frombuffer(data).reshape(dim**width, -1)
+    radix = dim ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    entry_cols, entry_rows = np.nonzero(op.T - np.diag(np.diagonal(op)))
+    slots = np.arange(len(entry_cols)) - np.searchsorted(entry_cols, entry_cols)
+    moves = np.zeros((len(op), slots.max(initial=0) + 1, width), dtype=np.int64)
+    moves[entry_cols, slots] = (entry_rows[:, None] // radix % dim
+                                - entry_cols[:, None] // radix % dim)
+    values = np.zeros(moves.shape[:2])
+    values[entry_cols, slots] = op[entry_rows, entry_cols]
+    radix.flags.writeable = moves.flags.writeable = values.flags.writeable = False
+    return radix, moves, values
+
+
 def local_sum_block(spin: Spin, length: int, m: int, op: np.ndarray, sites,
                     step: int) -> SectorBlock:
     """Block of sum_{t in sites} op_t from the m sector to the m + step sector.
@@ -132,16 +150,7 @@ def local_sum_block(spin: Spin, length: int, m: int, op: np.ndarray, sites,
     src = sector_basis(spin, length, m)
     dst = sector_basis(spin, length, m + step) if step else src
     terms = np.array(sites, dtype=np.int64)
-    radix = spin.dim ** np.arange(terms.shape[1] - 1, -1, -1, dtype=np.int64)
-    # the off-diagonal entries of each column of op in ascending row order,
-    # as digit changes and values, padded to a common width with no change
-    entry_cols, entry_rows = np.nonzero(op.T - np.diag(np.diagonal(op)))
-    slots = np.arange(len(entry_cols)) - np.searchsorted(entry_cols, entry_cols)
-    moves = np.zeros((len(op), slots.max(initial=0) + 1, len(radix)), dtype=np.int64)
-    moves[entry_cols, slots] = (entry_rows[:, None] // radix % spin.dim
-                                - entry_cols[:, None] // radix % spin.dim)
-    values = np.zeros(moves.shape[:2])
-    values[entry_cols, slots] = op[entry_rows, entry_cols]
+    radix, moves, values = _column_table(spin.dim, terms.shape[1], op.astype(float).tobytes())
     # the column of op that each (term, state) selects
     columns = np.einsum("tkn,k->tn", src.occupations.T[terms], radix)
     diag = np.diagonal(op)[columns].sum(axis=0)  # adds the terms in order

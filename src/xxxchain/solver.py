@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, product
 from typing import Optional
 
 import numpy as np
@@ -115,20 +115,21 @@ class RootCertificate:
         }
 
 
-# axis 1 of the factor arrays: entry 0 carries lambda + is and the factors
+# the sign axis of the factor arrays: entry 0 carries lambda + is and the factors
 # lambda_j - lambda_l - i, entry 1 carries lambda - is and lambda_j - lambda_l + i
 _SHIFTS = np.array([[1j], [-1j]])
-# step damping of the Newton line search, tried in this order
+# step damping of the Newton line search, tried in this order: the full step
+# in a first pass, then every smaller level at once
 _DAMPING = (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
 
 
 @lru_cache(maxsize=None)
-def _off_diagonal(m: int):
-    """Row and column indices of the off-diagonal entries of an m x m
-    matrix, row by row."""
-    rows, cols = np.nonzero(~np.eye(m, dtype=bool))
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+def _pair_columns(m: int) -> np.ndarray:
+    """Entry [c, j]: the c-th index l != j in ascending order (c < m - 1, j < m)."""
+    c, j = np.indices((m - 1, m))
+    cols = c + (c >= j)
+    cols.flags.writeable = False
+    return cols
 
 
 def _row(lam) -> np.ndarray:
@@ -137,28 +138,29 @@ def _row(lam) -> np.ndarray:
 
 
 def _factors(lam: np.ndarray, s: float):
-    """For root sets as the rows of an n x m array: (lambda_j +- is) as an
-    n x 2 x m array and the pair factors lambda_j - lambda_l -+ i (l != j,
-    ascending) as an n x 2 x m x (m-1) array."""
-    n, m = lam.shape
-    rows, cols = _off_diagonal(m)
-    diff = (lam[:, rows] - lam[:, cols]).reshape(n, 1, m, m - 1)
-    # C order keeps each row's product over l a sequential scalar reduction,
-    # so a root set gets the same bits in a batch of any size
-    return lam[:, None, :] + s * _SHIFTS, np.subtract(diff, _SHIFTS[:, :, None], order="C")
+    """For root sets as the rows of an n x m array, held on the last axis:
+    (lambda_j +- is) as a 2 x m x n array, and the pair factors
+    lambda_j - lambda_l -+ i as an (m-1) x 2 x m x n array whose entry c
+    holds the c-th l != j in ascending order.  A product over l multiplies
+    whole entries elementwise, left to right, so a row's bits depend neither
+    on the batch size nor on its place in the batch."""
+    lam = np.ascontiguousarray(lam.T)
+    diff = lam - lam[_pair_columns(len(lam))]
+    return lam + s * _SHIFTS[..., None], (diff - _SHIFTS[..., None, None]).swapaxes(0, 1)
 
 
 def _residuals(lam: np.ndarray, system: BetheSystem):
     """F(lambda) of each row of lam and its scaled maximum, from one pass over
     the terms t1, t2 of F = t1 - t2."""
     poles, pairs = _factors(lam, system.spin.s)
-    terms = poles**system.length * pairs.prod(axis=3)
-    t1, t2 = terms[:, 0], terms[:, 1]
-    f = t1 - t2
-    scale = np.abs(t1) + np.abs(t2)
+    terms = poles**system.length
+    if len(pairs):
+        terms *= reduce(np.multiply, pairs)
+    f = terms[0] - terms[1]
+    scale = np.abs(terms[0]) + np.abs(terms[1])
     out = np.zeros(f.shape)
     np.divide(np.abs(f), scale, out=out, where=scale > 0.0)
-    return f, out.max(axis=1)
+    return f.T, out.max(axis=0)
 
 
 def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
@@ -168,20 +170,23 @@ def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     poles, pairs = _factors(lam, s)
     d_poles = length * poles ** (length - 1)
     if m == 1:
-        return (d_poles[:, 0] - d_poles[:, 1]).reshape(n, 1, 1)
-    ones = np.ones((n, 2, m, 1), dtype=complex)
-    prefix = np.cumprod(np.concatenate((ones, pairs[..., :-1]), axis=3), axis=3)
-    suffix = np.cumprod(np.concatenate((ones, pairs[..., :0:-1]), axis=3), axis=3)[..., ::-1]
-    full = prefix[..., -1] * pairs[..., -1]
+        return (d_poles[0] - d_poles[1]).reshape(n, 1, 1)
+    # partial[c] = poles^L times the entries before c, then those after c
+    prefix = list(accumulate(pairs, np.multiply))
+    suffix = list(accumulate(pairs[:0:-1], np.multiply))[::-1]
+    partial = np.empty_like(pairs)
+    partial[0] = poles**length
+    for c in range(1, m - 1):
+        np.multiply(partial[0], prefix[c - 1], out=partial[c])
+    for c in range(m - 2):
+        partial[c] *= suffix[c]
     # d(lambda_j - lambda_r -+ i)/dlambda_r = -1 for the factor l = r
-    partial = poles[..., None] ** length * prefix * suffix
     off = partial[:, 1] - partial[:, 0]
-    out = np.empty((n, m, m), dtype=complex)
-    rows, cols = _off_diagonal(m)
-    out[:, rows, cols] = off.reshape(n, -1)
-    diag = np.arange(m)
-    out[:, diag, diag] = d_poles[:, 0] * full[:, 0] - d_poles[:, 1] * full[:, 1] - off.sum(axis=2)
-    return out
+    full = prefix[-1]
+    out = np.empty((m, m, n), dtype=complex)
+    out[np.arange(m), _pair_columns(m)] = off
+    out.reshape(m * m, n)[::m + 1] = d_poles[0] * full[0] - d_poles[1] * full[1] - off.sum(axis=0)
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def bethe_residual(lam, system: BetheSystem) -> np.ndarray:
@@ -279,51 +284,53 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
     its polishing step."""
     lam = seeds.copy()
     n, m = lam.shape
-    iterations = np.empty(n, dtype=int)
+    # written for a row when it ends; a row that never ends keeps max_iter
+    iterations = np.full(n, max_iter)
     reasons = np.full(n, None, dtype=object)
-    running = np.ones(n, dtype=bool)
-
-    def end(rows, it, reason=None):
-        iterations[rows] = it
-        running[rows] = False
-        reasons[rows] = reason
-
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
     f, best = _residuals(lam, system)
+    active = np.arange(n)  # the unfinished rows; a row leaves when it ends
     for it in range(max_iter):
-        active = np.flatnonzero(running)
-        finite = np.isfinite(lam[active]).all(axis=1)
-        end(active[~finite], it, "nonfinite")
-        active = active[finite]
+        current = lam[active]
+        finite = np.isfinite(current).all(axis=1)
+        if not finite.all():
+            iterations[active[~finite]], reasons[active[~finite]] = it, "nonfinite"
+            active, current = active[finite], current[finite]
         if not active.size:
             break
-        step = _newton_steps(_jacobians(lam[active], system), f[active])
-        usable = np.isfinite(step).all(axis=1)
+        step = _newton_steps(_jacobians(current, system), f[active])
         done = best[active] <= tol
-        end(active[done], it)
-        end(active[~done & ~usable], it, "singular-jacobian")
-        # polishing sharpens a converged root well below tol; it is kept
-        # unless it is worse
-        rows, step, polish = active[usable], step[usable], done[usable]
-        for damps in (_DAMPING[:1], _DAMPING[1:]):
-            if not rows.size:
+        usable = np.isfinite(step).all(axis=1)
+        # the line search's rows, as positions in active, and those that polish:
+        # polishing sharpens a converged root well below tol unless it is worse
+        search, polish = np.flatnonzero(usable), done[usable]
+        for damps in map(np.array, (_DAMPING[:1], _DAMPING[1:])):
+            if not search.size:
                 break
-            cand = lam[rows, None] + np.array(damps)[:, None] * step[:, None]
-            f_cand, r = _residuals(cand.reshape(-1, m), system)
-            f_cand, r = f_cand.reshape(cand.shape), r.reshape(len(rows), -1)
-            limit = best[rows, None]
-            accept = np.isfinite(r) & np.where(polish[:, None], r <= limit, r < limit)
-            hit = accept.any(axis=1)
-            take, first = rows[hit], (np.flatnonzero(hit), accept[hit].argmax(axis=1))
-            lam[take], f[take], best[take] = cand[first], f_cand[first], r[first]
+            rows = active[search]
+            # the candidates level by level, each level over all rows
+            cand = (lam[rows] + damps[:, None, None] * step[search]).reshape(-1, m)
+            f_cand, r = _residuals(cand, system)
+            r = r.reshape(len(damps), -1)
+            limit = best[rows]
+            accept = np.isfinite(r) & np.where(polish, r <= limit, r < limit)
+            hit = accept.any(axis=0)
+            if hit.any():
+                first = accept[:, hit].argmax(axis=0) * len(rows) + np.flatnonzero(hit)
+                take = rows[hit]
+                lam[take], f[take], best[take] = cand[first], f_cand[first], r.ravel()[first]
             keep = ~hit & ~polish
-            rows, step, polish = rows[keep], step[keep], polish[keep]
-        end(rows, it, "stalled")
-    left = np.flatnonzero(running)
-    converged = best[left] <= tol
-    end(left[converged], max_iter)
-    end(left[~converged], max_iter, "max-iter")
+            search, polish = search[keep], polish[keep]
+        # rows end converged, on a singular Jacobian, or stalled (no level improved)
+        stay = usable & ~done
+        stay[search] = False
+        if not stay.all():
+            iterations[active[~stay]] = it
+            reasons[active[~usable & ~done]] = "singular-jacobian"
+            reasons[active[search]] = "stalled"
+            active = active[stay]
+    reasons[active[~(best[active] <= tol)]] = "max-iter"
     return lam, iterations, reasons, best
 
 

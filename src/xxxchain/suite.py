@@ -285,14 +285,15 @@ def chain_checks_at(spin: Spin, length: int, seed: int = 0) -> list:
 
     vec = rng.normal(size=ham.dim) + 1j * rng.normal(size=ham.dim)
     norm = np.linalg.norm(vec)
-    sz, sp, sm = (global_generator(spin, length, alpha) for alpha in ("z", "+", "-"))
-    lhs = sp.apply(sm.apply(vec)) - sm.apply(sp.apply(vec))
+    gens = sz, sp, sm = [global_generator(spin, length, alpha) for alpha in ("z", "+", "-")]
+    gen_vecs = sz_vec, sp_vec, sm_vec = [gen.apply(vec) for gen in gens]
+    lhs = sp.apply(sm_vec) - sm.apply(sp_vec)
     results.append(_check(f"su2-global-commutators{tag}",
-                          np.max(np.abs(lhs - 2 * sz.apply(vec))) / norm, 1e-12))
+                          np.max(np.abs(lhs - 2 * sz_vec)) / norm, 1e-12))
     h_vec = ham.apply(vec)
     worst = 0.0
-    for gen in (sz, sp, sm):
-        comm = gen.apply(h_vec) - ham.apply(gen.apply(vec))
+    for gen, gen_vec in zip(gens, gen_vecs):
+        comm = gen.apply(h_vec) - ham.apply(gen_vec)
         worst = np.maximum(worst, np.max(np.abs(comm)) / norm)
     results.append(_check(f"chain-su2-commutators{tag}", worst, 1e-12))
 

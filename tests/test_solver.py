@@ -238,6 +238,26 @@ def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
     _same_outcomes(whole, split)
 
 
+@pytest.mark.parametrize("two_s, length, m, strategies", [
+    (1, 10, 4, ("free-momenta",)),
+    (1, 10, 5, ("free-momenta",)),
+    (2, 6, 6, solver.STRATEGIES),
+])
+def test_newton_batch_rows_do_not_depend_on_the_batch(monkeypatch, two_s, length, m, strategies):
+    # the pair products are longest here: each row's bits must not depend on
+    # its position in the catalog or on the rows beside it
+    system = BetheSystem(Spin(two_s), length, m)
+    seeds = sector_seeds(system, SolverOptions(strategies=strategies))
+    whole = newton_batch(system, seeds)
+    reverse = newton_batch(system, seeds[::-1])
+    _same_outcomes(whole, tuple(part[::-1] for part in reverse))
+    # blocks of five rows of the line search's second pass
+    levels = len(solver._DAMPING) - 1
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 5 * 2 * levels * m * (m - 1))
+    _same_outcomes(whole, newton_batch(system, seeds))
+    assert {None, "stalled"} <= set(whole[2])
+
+
 def _first_damping(system, seed):
     """The damping level the line search takes in the first Newton step
     from seed, from the one-row kernels, or None if no level improves."""
@@ -276,6 +296,9 @@ def test_solver_emits_no_runtime_warnings():
         for two_s, length, m in CRITERION6_GRID:
             solve_sector(Spin(two_s), length, m, opts)
         reconcile_spectrum(Spin(1), 6, 3)
+        # the free-momenta roots of the widest spin-1/2, L=12 sectors
+        for m in (4, 5):
+            solve_sector(Spin(1), 12, m, SolverOptions(strategies=("free-momenta",)))
 
 
 def test_classification():
