@@ -244,10 +244,6 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
     if m > spin.two_s * length:
         raise InputRangeError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
     basis = hilbert.sector_basis(spin, length, m)
-    if m == 0:
-        vec = np.ones(1, dtype=complex)
-        return BetheState(spin, length, (), (), basis, vec, 0.0 + 0.0j, 1.0)
-
     u = np.exp(1j * np.asarray(k, dtype=complex))
     _check_momenta(u)
     # coordinates x_1 <= ... <= x_m of every basis state, one row each

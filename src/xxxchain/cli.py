@@ -159,13 +159,14 @@ def cmd_state(args, parser):
     spin = _spin(args, parser)
     if (args.roots is None) == (args.momenta is None):
         parser.error("state requires exactly one of --lambda or --k")
+    # the cap is checked before the sector is enumerated
+    ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     if args.roots is not None:
         state = build_bethe_state(spin, args.length,
                                   lam=_parse_complex_list(args.roots, parser, "--lambda"))
     else:
         state = build_bethe_state(spin, args.length,
                                   k=_parse_complex_list(args.momenta, parser, "--k"))
-    ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     residual = verify.eigen_residual(state, ham)
     _emit(args, lambda: state.to_json(residual=residual), ["index", "amplitude_re", "amplitude_im"],
           ((i, repr(z.real), repr(z.imag)) for i, z in enumerate(map(complex, state.vector))))
@@ -220,8 +221,6 @@ def cmd_verify(args, parser):
         checks = [c for c in checks if args.only in c[0]]
         if not checks:
             parser.error(f"--only {args.only!r} matches no checks")
-    if args.inject_fault:
-        checks.append((args.inject_fault, False, "injected fault (test hook)"))
     failed = [c for c in checks if not c[1]]
     payload = {
         "checks": [{"name": name, "passed": ok, "detail": detail}
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--spin", default=None, help="extend the chain checks to this spin (with -L)")
     sub.add_argument("-L", "--length", type=int, default=None)
     sub.add_argument("--only", default=None, help="substring filter on check names")
-    sub.add_argument("--inject-fault", default=None, help="append a failing check (test hook)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=_seed, default=None)
     sub.set_defaults(func=cmd_verify)

@@ -28,27 +28,6 @@ def beta_window(spin: Spin, m1: int, m2: int) -> tuple:
     return -min(m1, spin.two_s - m2), min(m2, spin.two_s - m1)
 
 
-def _m1m2(two_s: int, m1: int, m2: int) -> tuple:
-    return min(m1, two_s - m2), min(m2, two_s - m1)
-
-
-def _beta_positive(two_s: int, m1: int, m2: int, n: int) -> float:
-    big_m1, big_m2 = _m1m2(two_s, m1, m2)
-    num = math.comb(big_m1 + n, big_m1) * math.comb(big_m2, n)
-    den = math.comb(two_s - big_m1, n) * math.comb(two_s - big_m2 + n, n)
-    return (-1) ** (n - 1) / n * math.sqrt(num / den)
-
-
-def _beta_zero(two_s: int, m1: int, m2: int) -> float:
-    big_m1, big_m2 = _m1m2(two_s, m1, m2)
-    total = Fraction(0)
-    for ell in range(big_m1):
-        total += Fraction(1, two_s - ell)
-    for ell in range(big_m2):
-        total += Fraction(1, two_s - ell)
-    return -float(total) if total else 0.0
-
-
 def beta(spin: Spin, m1: int, m2: int, n: int) -> float:
     """Coefficient beta^n_{m1,m2}; raises WindowError outside the n-window."""
     if not (0 <= m1 <= spin.two_s and 0 <= m2 <= spin.two_s):
@@ -56,11 +35,20 @@ def beta(spin: Spin, m1: int, m2: int, n: int) -> float:
     lo, hi = beta_window(spin, m1, m2)
     if not (lo <= n <= hi):
         raise WindowError(f"n={n} outside window [{lo}, {hi}] for (m1={m1}, m2={m2})")
+    if n < 0:
+        return beta(spin, m2, m1, -n)
+    # the paper's (M1, M2) = (min(m1, 2s - m2), min(m2, 2s - m1)) bound the window
+    big_m1, big_m2 = -lo, hi
     if n > 0:
-        return _beta_positive(spin.two_s, m1, m2, n)
-    if n == 0:
-        return _beta_zero(spin.two_s, m1, m2)
-    return beta(spin, m2, m1, -n)
+        num = math.comb(big_m1 + n, big_m1) * math.comb(big_m2, n)
+        den = math.comb(spin.two_s - big_m1, n) * math.comb(spin.two_s - big_m2 + n, n)
+        return (-1) ** (n - 1) / n * math.sqrt(num / den)
+    total = Fraction(0)
+    for ell in range(big_m1):
+        total += Fraction(1, spin.two_s - ell)
+    for ell in range(big_m2):
+        total += Fraction(1, spin.two_s - ell)
+    return -float(total) if total else 0.0
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,13 @@ from .bethe import BetheState, build_bethe_state
 from .errors import ChainError, InputRangeError, NewtonFailureError
 from .hamiltonian import ChainHamiltonian
 from .su2 import Spin
+from .verify import eigen_residual, highest_weight_residual
 
 DESCENDANT_CUTOFF = 1e8
 DEGENERACY_TOL = 1e-6
 SINGULAR_PROXIMITY_TOL = 1e-2
 DEFLATION_TOL = 1e-6
+MAX_ITER = 80
 # seeding strategies, in the order solve_sector runs them by default
 STRATEGIES = ("free-momenta", "strings", "random")
 # the random strategy draws n_random seeds at each multiple of random_scale
@@ -54,7 +56,6 @@ class SolverOptions:
     tol_eigen: float = 1e-8
     tol_hw: float = 1e-8
     tol_match: float = 1e-7
-    max_iter: int = 80
     n_random: int = 64
     random_scale: float = 1.5
     seed: int = 0
@@ -70,8 +71,6 @@ class SolverOptions:
             value = getattr(self, name)
             if not value > 0.0:
                 raise InputRangeError(f"{name} must be positive, got {value!r}")
-        if self.max_iter < 1:
-            raise InputRangeError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.n_random < 0:
             raise InputRangeError(f"n_random must be non-negative, got {self.n_random!r}")
         if not 0.0 < self.random_scale < math.inf:
@@ -226,14 +225,11 @@ def _reject_reasons(lam: np.ndarray, s: float) -> np.ndarray:
                      ["nonfinite", "descendant", "degenerate", "singular"], None)
 
 
-def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 80):
+def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = MAX_ITER):
     """Newton iteration with step damping; returns (roots, iterations).
 
     The one-row call of `newton_batch`; raises the row's NewtonFailureError."""
-    lam = np.atleast_1d(np.asarray(seed, dtype=complex))
-    if lam.size != system.m:
-        raise ValueError(f"seed has {lam.size} components, system needs {system.m}")
-    roots, iterations, reasons, best = newton_batch(system, lam.reshape(1, -1), tol, max_iter)
+    roots, iterations, reasons, best = newton_batch(system, _row(seed), tol, max_iter)
     if reasons[0] is not None:
         raise _newton_failure(reasons[0], iterations[0], best[0])
     return roots[0], int(iterations[0])
@@ -249,7 +245,7 @@ def _newton_failure(reason: str, iterations: int, best: float) -> NewtonFailureE
     return NewtonFailureError(reason)
 
 
-def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int = 80):
+def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int = MAX_ITER):
     """Damped Newton from every row of an n x m seed array, in lockstep.
 
     Returns (roots, iterations, reasons, best): the last iterates as an n x m
@@ -497,8 +493,6 @@ def singular_pair_state(spin: Spin, length: int) -> BetheState:
 
 def _certificate(state: BetheState, bethe_res: float, iterations: int,
                  hamiltonian: ChainHamiltonian, singular: bool = False) -> RootCertificate:
-    from .verify import eigen_residual, highest_weight_residual
-
     return RootCertificate(
         lam=tuple(complex(z) for z in state.lam),
         bethe_residual=bethe_res,
@@ -519,14 +513,14 @@ def order_key(energy: complex, lam) -> tuple:
             tuple(sorted((z.real, z.imag) for z in lam)))
 
 
-def _settle(system: BetheSystem, roots: np.ndarray, iterations, hamiltonian: ChainHamiltonian,
-            registry: Optional[DeflationRegistry]) -> list:
-    """Deflation, state build and certificate of the Newton roots (rows, in
-    catalog order) that `_reject_reasons` accepts: per row its RootCertificate
-    or NewtonFailureError.  Only root sets new to the registry get a state."""
+def _settle(system: BetheSystem, roots: np.ndarray, iterations, residuals,
+            hamiltonian: ChainHamiltonian, registry: Optional[DeflationRegistry]) -> list:
+    """Deflation, state build and certificate of the Newton roots (rows, in catalog
+    order) that `_reject_reasons` accepts, given their scaled residuals: per row its
+    RootCertificate or NewtonFailureError.  Only root sets new to the registry get a state."""
     new = np.ones(len(roots), dtype=bool) if registry is None else registry.add_rows(roots)
     out = []
-    for lam, its, fresh in zip(roots, iterations, new):
+    for lam, its, res, fresh in zip(roots, iterations, residuals, new):
         if not fresh:
             out.append(NewtonFailureError("duplicate", "root set already deflated"))
             continue
@@ -536,7 +530,7 @@ def _settle(system: BetheSystem, roots: np.ndarray, iterations, hamiltonian: Cha
             out.append(NewtonFailureError("state-degenerate", str(exc)))
             out[-1].__cause__ = exc
         else:
-            out.append(_certificate(state, scaled_residual(lam, system), int(its), hamiltonian))
+            out.append(_certificate(state, float(res), int(its), hamiltonian))
     return out
 
 
@@ -546,11 +540,12 @@ def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
     """Run one seed through Newton, classification, deflation and state build."""
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(system.spin, system.length)
-    lam, iterations = newton_solve(system, seed, tol=opts.tol_newton, max_iter=opts.max_iter)
+    lam, iterations = newton_solve(system, seed, tol=opts.tol_newton)
     reason = _reject_reasons(lam[None], system.spin.s)[0]
     if reason is not None:
         raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
-    outcome = _settle(system, lam[None], [iterations], hamiltonian, registry)[0]
+    outcome = _settle(system, lam[None], [iterations], [scaled_residual(lam, system)],
+                      hamiltonian, registry)[0]
     if isinstance(outcome, NewtonFailureError):
         raise outcome
     return outcome
@@ -581,13 +576,14 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         vacuum = build_bethe_state(spin, length, k=())
         return [_certificate(vacuum, 0.0, 0, hamiltonian)]
 
-    roots, iterations, reasons, _ = newton_batch(system, sector_seeds(system, opts),
-                                                 opts.tol_newton, opts.max_iter)
+    roots, iterations, reasons, best = newton_batch(system, sector_seeds(system, opts),
+                                                    opts.tol_newton)
     converged = np.flatnonzero(np.equal(reasons, None))
     # a rejected root is dropped without formatting solve_newton's message
     usable = converged[np.equal(_reject_reasons(roots[converged], spin.s), None)]
     registry = DeflationRegistry()
-    settled = _settle(system, roots[usable], iterations[usable], hamiltonian, registry)
+    settled = _settle(system, roots[usable], iterations[usable], best[usable], hamiltonian,
+                      registry)
     certs = [c for c in settled if isinstance(c, RootCertificate) and c.certified(opts)]
 
     if spin.two_s == 1 and m == 2 and length % 2 == 0:

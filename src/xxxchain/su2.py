@@ -141,12 +141,12 @@ class SiteSumOperator:
         return out
 
 
-def global_generator(spin: Spin, length: int, alpha: str, cap: int = DEFAULT_CAP) -> SiteSumOperator:
+def global_generator(spin: Spin, length: int, alpha: str) -> SiteSumOperator:
     """Global su(2) generator S^alpha = sum_j s^alpha_j, alpha in {'z', '+', '-'}."""
     if length < 2:
         raise InputRangeError(f"chain length must be >= 2, got {length}")
-    if spin.dim**length > cap:
-        raise ResourceCapError(f"dimension {spin.dim**length} exceeds cap {cap}")
+    if spin.dim**length > DEFAULT_CAP:
+        raise ResourceCapError(f"dimension {spin.dim**length} exceeds cap {DEFAULT_CAP}")
     local = {"z": s_z, "+": s_plus, "-": s_minus}
     if alpha not in local:
         raise ValueError(f"alpha must be one of 'z', '+', '-', got {alpha!r}")

@@ -11,7 +11,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
 from . import bethe, hilbert
-from .hamiltonian import ChainHamiltonian, check_beta_recursions, local_h
+from .hamiltonian import ChainHamiltonian, beta, build_beta_table, check_beta_recursions, local_h
 from .su2 import (
     Spin,
     e_minus,
@@ -21,6 +21,7 @@ from .su2 import (
     s_plus,
     s_z,
 )
+from .verify import reconcile_spectrum
 
 LOCAL_SPINS = (Spin(1), Spin(2), Spin(3), Spin(4))
 # the pseudo-vacuum grid of acceptance criterion 2
@@ -61,8 +62,6 @@ def su2_e_minus(seed=0):
 
 
 def beta_symmetry(seed=0):
-    from .hamiltonian import build_beta_table
-
     worst = 0.0
     for spin in LOCAL_SPINS:
         table = build_beta_table(spin)
@@ -157,8 +156,6 @@ def energy_forms(seed=0):
 
 
 def dispersion(seed=0):
-    from .hamiltonian import beta
-
     worst = 0.0
     for spin in LOCAL_SPINS + (Spin(5),):
         coeffs = (beta(spin, 1, 0, 0), beta(spin, 0, 1, 0),
@@ -246,8 +243,6 @@ def product_identity(seed=0):
 
 
 def pipeline_reconcile(seed=0):
-    from .verify import reconcile_spectrum
-
     report = reconcile_spectrum(Spin(1), 4, 2)
     worst = 1.0 - report.matched_fraction
     for rec in report.bethe:

@@ -371,11 +371,16 @@ def test_build_state_sz_eigenvalue():
 
 
 def test_build_state_m0_is_vacuum():
-    assert bethe.build_bethe_state(Spin(1), 4, lam=()).m == 0
-    state = bethe.build_bethe_state(Spin(1), 4, k=())
-    assert state.m == 0
-    assert state.energy == 0
-    assert np.allclose(state.vector, [1.0])
+    for two_s in (1, 2, 3, 4):
+        spin = Spin(two_s)
+        for given in ({"k": ()}, {"lam": ()}):
+            state = bethe.build_bethe_state(spin, 4, **given)
+            assert state.m == 0 and state.k == () and state.lam == ()
+            assert state.vector.dtype == complex
+            assert state.vector.tobytes() == np.ones(1, dtype=complex).tobytes()
+            assert state.energy == 0.0 + 0.0j and state.norm == 1.0
+            assert state.to_json() == {"two_s": two_s, "L": 4, "m": 0, "k": [], "lambda": [],
+                                       "energy": [0.0, 0.0], "norm": 1.0}
 
 
 def test_build_state_rejects_pole_rapidities():

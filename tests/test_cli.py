@@ -10,7 +10,7 @@ import numpy as np
 
 import pytest
 
-from xxxchain import cli
+from xxxchain import cli, suite
 from xxxchain.cli import main
 
 
@@ -191,6 +191,15 @@ def test_state_with_too_many_roots_is_usage_error():
     assert not out and "m=3 exceeds" in err
 
 
+def test_state_checks_cap_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "build_bethe_state", lambda *a, **kw: calls.append((a, kw)))
+    code, out, err = run_cli("state", "--spin", "1/2", "-L", "4", "--cap", "8",
+                             "--lambda", "0.1,0.2")
+    assert code == 3 and not out and "exceeds cap 8" in err
+    assert calls == []
+
+
 def test_state_with_no_roots_is_the_vacuum():
     for flag in ("--lambda", "--k"):
         code, out, _ = run_cli("state", "--spin", "1/2", "-L", "4", flag, "")
@@ -322,8 +331,6 @@ def test_verify_chain_above_cap_is_resource_error():
 
 
 def test_verify_names_each_grid_chain_once():
-    from xxxchain import suite
-
     code, out, _ = run_cli("verify")
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert code == 0 and len(names) == len(set(names))
@@ -337,12 +344,16 @@ def test_verify_names_each_grid_chain_once():
     assert code == 0 and [c["name"] for c in json.loads(out)["checks"]] == names
 
 
-def test_verify_inject_fault():
-    code, out, err = run_cli("verify", "--inject-fault", "synthetic-bad-invariant")
+def test_verify_inject_fault(monkeypatch):
+    def synthetic_bad_invariant(seed=0):
+        return ("synthetic-bad-invariant", False, "max violation 1.000e+00 (tol 1e-13)")
+
+    monkeypatch.setattr(suite, "ALL_CHECKS", suite.ALL_CHECKS + (synthetic_bad_invariant,))
+    code, out, err = run_cli("verify")
     assert code == 1
     payload = json.loads(out)
     assert not payload["passed"]
-    assert "synthetic-bad-invariant" in err
+    assert "FAILED synthetic-bad-invariant" in err
 
 
 def test_aba_compare():

@@ -186,10 +186,11 @@ def test_newton_batch_matches_scalar_oracle():
     for two_s, length, m in CRITERION6_GRID:
         system = BetheSystem(Spin(two_s), length, m)
         seeds = sector_seeds(system, opts)
-        batch = newton_batch(system, seeds, opts.tol_newton, opts.max_iter)
+        batch = newton_batch(system, seeds, opts.tol_newton, solver.MAX_ITER)
         for seed, lam, its, failure in zip(seeds, batch[0], batch[1], _messages(batch)):
             try:
-                expected, expected_its = newton_loop(system, seed, opts.tol_newton, opts.max_iter)
+                expected, expected_its = newton_loop(system, seed, opts.tol_newton,
+                                                     solver.MAX_ITER)
             except NewtonFailureError as exc:
                 # stalled and max-iter messages carry the iteration count
                 assert failure == (exc.reason, str(exc)), (two_s, length, m, seed)
@@ -444,7 +445,7 @@ def test_solve_sector_stops_at_the_equator():
 def test_solver_options_validation():
     for bad in ({"tol_newton": math.nan}, {"tol_newton": math.inf}, {"tol_newton": 0.0},
                 {"tol_match": -1e-7}, {"tol_eigen": math.nan}, {"tol_hw": 0.0},
-                {"max_iter": 0}, {"n_random": -1}, {"random_scale": 0.0},
+                {"n_random": -1}, {"random_scale": 0.0},
                 {"random_scale": -1.5}, {"random_scale": math.nan},
                 {"random_scale": math.inf}, {"strategies": ("two-string",)},
                 {"strategies": ("free-momenta", "bogus")}):

@@ -181,7 +181,7 @@ def test_site_apply_accumulates_into_out_and_checks_shapes():
 
 def test_global_generator_cap():
     with pytest.raises(ResourceCapError):
-        global_generator(Spin(1), 4, "z", cap=8)
+        global_generator(Spin(1), 21, "z")  # 2^21 states, refused before any allocation
     with pytest.raises(InputRangeError):
         global_generator(Spin(1), 1, "z")
     with pytest.raises(ValueError):
