@@ -21,7 +21,7 @@ from .bethe import build_bethe_state
 from .errors import ChainError, InputRangeError, ResourceCapError
 from .hamiltonian import ChainHamiltonian, build_beta_table, local_h
 from .solver import STRATEGIES, SolverOptions, solve_sector
-from .su2 import DEFAULT_CAP, Spin
+from .su2 import DEFAULT_CAP, Spin, check_length
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -175,6 +175,7 @@ def cmd_state(args, parser):
 
 def cmd_aba_compare(args, parser):
     spin = _spin(args, parser)
+    check_length(args.length)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     if args.roots is not None:
         lams = _parse_complex_list(args.roots, parser, "--lambda")
@@ -210,8 +211,8 @@ def _verify_checks(args, parser):
         if args.spin is None or args.length is None:
             parser.error("verify needs both --spin and -L to extend the chain grid")
         chain = (_spin(args, parser), args.length)
-        # a chain that cannot be built is a usage or cap error, not a failed check
-        ChainHamiltonian(*chain)
+        # a usage or cap error here, not a failed check; the suite's bound is DEFAULT_CAP
+        ChainHamiltonian(*chain, cap=min(_cap(args), DEFAULT_CAP))
     return suite.run_all(seed=args.seed if args.seed is not None else 0, chain=chain)
 
 
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--only", default=None, help="substring filter on check names")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=_seed, default=None)
-    sub.set_defaults(func=cmd_verify)
+    sub.set_defaults(func=cmd_verify, cap=None)
 
     sub = subs.add_parser("aba-compare", help="overlap of the monodromy one-magnon state with Psi_1")
     _add_common(sub, "length", "seed")

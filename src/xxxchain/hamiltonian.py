@@ -18,9 +18,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InputRangeError, ResourceCapError, WindowError
+from .errors import ResourceCapError, WindowError
 from .su2 import DEFAULT_CAP, DENSE_THRESHOLD, Spin, apply_bond_matrix, s_minus, s_plus
-from . import hilbert
+from . import hilbert, su2
 
 
 def beta_window(spin: Spin, m1: int, m2: int) -> tuple:
@@ -111,8 +111,7 @@ class ChainHamiltonian:
     or blockwise on fixed-lowering sectors."""
 
     def __init__(self, spin: Spin, length: int, cap: int = DEFAULT_CAP):
-        if length < 2:
-            raise InputRangeError(f"chain length must be >= 2, got {length}")
+        su2.check_length(length)
         dim = spin.dim**length
         if dim > cap:
             raise ResourceCapError(f"dimension {dim} exceeds cap {cap}")

@@ -75,32 +75,21 @@ def embed_sector_vector(basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
 
 
 class SectorBlock:
-    """Read-only real sparse block between two sectors, in compressed rows.
-
-    Built from entry lists (vals, rows, cols) and a shape: the entries are
-    sorted row-major and repeated positions summed, so `data`, `indices` and
-    `indptr` are the canonical CSR arrays, `rows` is the row of each stored
-    entry and `nnz` counts distinct positions.  `block @ vec` adds each row's
-    terms in stored order to 0, as a CSR product loop does.
-    """
+    """Read-only real sparse block between two sectors: the entry lists
+    `data`, `rows` and `indices` it was built from, in build order.  Repeated
+    positions add, entry by entry in stored order, in `@` and `toarray()`;
+    `nnz` counts distinct positions."""
 
     def __init__(self, vals, rows, cols, shape: tuple):
         self.shape = shape
-        key = rows * shape[1] + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        self.data = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-        self.rows, self.indices = np.divmod(key[first], shape[1])
-        self.indptr = np.searchsorted(self.rows, np.arange(shape[0] + 1))
+        self.data, self.rows, self.indices = vals, rows, cols
         # cached and shared between callers
-        for arr in (self.data, self.rows, self.indices, self.indptr):
+        for arr in (self.data, self.rows, self.indices):
             arr.flags.writeable = False
 
     @property
     def nnz(self) -> int:
-        return len(self.data)
+        return len(np.unique(self.rows * self.shape[1] + self.indices))
 
     def __matmul__(self, vec) -> np.ndarray:
         vec = np.asarray(vec)
@@ -113,7 +102,7 @@ class SectorBlock:
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self.rows, self.indices] = self.data
+        np.add.at(out, (self.rows, self.indices), self.data)
         return out
 
 

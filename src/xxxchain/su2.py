@@ -119,6 +119,12 @@ def apply_bond_matrix(vec: np.ndarray, op: np.ndarray, length: int, bond: tuple,
     return out.reshape(vec.shape)
 
 
+def check_length(length: int):
+    """Raise InputRangeError unless the chain has at least two sites."""
+    if length < 2:
+        raise InputRangeError(f"chain length must be >= 2, got {length}")
+
+
 @dataclass(frozen=True)
 class SiteSumOperator:
     """Sum of the same single-site operator over all sites, applied lazily."""
@@ -143,8 +149,7 @@ class SiteSumOperator:
 
 def global_generator(spin: Spin, length: int, alpha: str) -> SiteSumOperator:
     """Global su(2) generator S^alpha = sum_j s^alpha_j, alpha in {'z', '+', '-'}."""
-    if length < 2:
-        raise InputRangeError(f"chain length must be >= 2, got {length}")
+    check_length(length)
     if spin.dim**length > DEFAULT_CAP:
         raise ResourceCapError(f"dimension {spin.dim**length} exceeds cap {DEFAULT_CAP}")
     local = {"z": s_z, "+": s_plus, "-": s_minus}

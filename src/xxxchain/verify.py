@@ -115,39 +115,29 @@ def highest_weight_residual(state: BetheState) -> float:
 
 
 def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> SpectrumReport:
-    """Match certified Bethe multiplets (each of dimension 2(Ls-m)+1, spanned
-    by repeated S^-) against per-sector ED eigenvalues; leftover ED levels are
-    itemized with their sector and energy."""
+    """Match certified Bethe multiplets (each of dimension 2(Ls-m)+1, spanned by
+    repeated S^-) to the first closest free ED level of each sector they span;
+    leftover ED levels are itemized with their sector and energy."""
     from .solver import SolverOptions, order_key, solve_sector
 
     if opts is None:
         opts = SolverOptions()
     hamiltonian = ChainHamiltonian(spin, length)
     report = exact_diagonalize(spin, length, hamiltonian=hamiltonian)
-    avail = {m: [[float(v), True] for v in vals] for m, vals in report.ed.items()}
-
-    multiplets = []
-    for m in range(m_max + 1):
-        for cert in solve_sector(spin, length, m, opts, hamiltonian):
-            multiplicity = spin.two_s * length - 2 * m + 1
-            multiplets.append(BetheMultiplet(m, cert.lam, cert.energy, multiplicity,
-                                             cert.singular))
-    multiplets.sort(key=lambda rec: order_key(rec.energy, rec.lam))
-    report.bethe = multiplets
-
-    for rec in multiplets:
+    free = {m: np.ones(len(vals), dtype=bool) for m, vals in report.ed.items()}
+    report.bethe = sorted(
+        (BetheMultiplet(m, cert.lam, cert.energy, spin.two_s * length - 2 * m + 1, cert.singular)
+         for m in range(m_max + 1) for cert in solve_sector(spin, length, m, opts, hamiltonian)),
+        key=lambda rec: order_key(rec.energy, rec.lam))
+    for rec in report.bethe:
         missing = []
         gaps = []
         for sector in range(rec.m, rec.m + rec.multiplicity):
-            candidates = [
-                (abs(entry[0] - rec.energy.real), i)
-                for i, entry in enumerate(avail.get(sector, []))
-                if entry[1]
-            ]
-            gap, idx = min(candidates, default=(np.inf, None))
-            if idx is not None and gap <= opts.tol_match:
-                avail[sector][idx][1] = False
-                gaps.append(gap)
+            gap = np.where(free[sector], np.abs(report.ed[sector] - rec.energy.real), np.inf)
+            idx = np.argmin(gap)
+            if gap[idx] <= opts.tol_match:
+                free[sector][idx] = False
+                gaps.append(float(gap[idx]))
             else:
                 missing.append({"m": sector, "energy": rec.energy.real})
         report.matches.append({
@@ -157,12 +147,8 @@ def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> Spectr
             "max_gap": max(gaps, default=0.0),
             "missing": missing,
         })
-    report.unmatched = [
-        {"m": m, "energy": entry[0]}
-        for m, entries in sorted(avail.items())
-        for entry in entries
-        if entry[1]
-    ]
+    report.unmatched = [{"m": m, "energy": float(v)}
+                        for m, vals in sorted(report.ed.items()) for v in vals[free[m]]]
     return report
 
 

@@ -306,15 +306,12 @@ def coo_dense(vals, rows, cols, shape):
     return out
 
 
-def csr_matvec_loop(block, vec):
-    """block @ vec as a scalar compressed-row loop: each row's stored terms
-    added to 0 one at a time, in stored order."""
+def entry_matvec_loop(block, vec):
+    """block @ vec as a scalar loop over the stored entries: each entry's term
+    added to its row, one at a time, in stored order."""
     out = np.zeros(block.shape[0], dtype=np.result_type(block.data, vec))
-    for row in range(block.shape[0]):
-        total = out.dtype.type(0)
-        for pos in range(block.indptr[row], block.indptr[row + 1]):
-            total += block.data[pos] * vec[block.indices[pos]]
-        out[row] = total
+    for value, row, col in zip(block.data, block.rows, block.indices):
+        out[row] += value * vec[col]
     return out
 
 

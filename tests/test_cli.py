@@ -183,6 +183,10 @@ def test_short_chain_is_usage_error():
     code, _, err = run_cli("ed", "--spin", "1/2", "-L", "1")
     assert code == 2
     assert "length" in err
+    # aba-compare builds no Hamiltonian, so it checks the length itself
+    for length in ("1", "0"):
+        code, out, err = run_cli("aba-compare", "--spin", "1/2", "-L", length, "--count", "2")
+        assert code == 2 and not out and f"chain length must be >= 2, got {length}" in err
 
 
 def test_state_with_too_many_roots_is_usage_error():
@@ -328,6 +332,16 @@ def test_verify_short_chain_is_usage_error():
 def test_verify_chain_above_cap_is_resource_error():
     code, out, err = run_cli("verify", "--spin", "1/2", "-L", "30")
     assert code == 3 and not out and "exceeds cap" in err
+
+
+def test_verify_honours_bethe_cap(monkeypatch):
+    # as ed does on the same chain; a raised cap does not lift the suite's own
+    # bound, DEFAULT_CAP = 2^20
+    for length, cap, expected in (("8", "100", "exceeds cap 100"),
+                                  ("21", str(1 << 22), "exceeds cap 1048576")):
+        code, out, err = run_cli("verify", "--spin", "1/2", "-L", length,
+                                 env={"BETHE_CAP": cap}, monkeypatch=monkeypatch)
+        assert code == 3 and not out and expected in err
 
 
 def test_verify_names_each_grid_chain_once():

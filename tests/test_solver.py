@@ -219,6 +219,21 @@ def test_singular_jacobian_row_leaves_the_batch_alone():
     assert list(batch[2]) == [None, None, None, "stalled", "stalled"]
 
 
+def test_nan_seed_ends_nonfinite_and_leaves_the_other_rows_alone():
+    # _residuals reads 0 on a NaN row (its scale fails `where=scale > 0`), so
+    # only the lockstep's finiteness check keeps that row from converging
+    system = BetheSystem(Spin(1), 6, 2)
+    catalog = sector_seeds(system, SolverOptions())
+    row = len(catalog) // 2
+    seeds = np.insert(catalog, row, [np.nan, 0.1], axis=0)
+    batch = newton_batch(system, seeds)
+    assert batch[1][row] == 0 and batch[2][row] == "nonfinite"
+    for other in np.flatnonzero(np.arange(len(seeds)) != row):
+        alone = newton_batch(system, seeds[other:other + 1])
+        _same_outcomes(tuple(part[other:other + 1] for part in batch), alone)
+    assert {None, "stalled", "max-iter"} <= set(batch[2])
+
+
 def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
     system = BetheSystem(Spin(2), 4, 2)
     seeds = sector_seeds(system, SolverOptions())

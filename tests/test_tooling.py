@@ -99,6 +99,14 @@ def test_benchmark_workloads_build_their_operations():
                    for op in ops), part
 
 
+def test_benchmark_operations_pass_their_own_checks():
+    # perfbench/run.py exits 1 when any output fails its check
+    workloads = load_module("perfbench_workloads", WORKLOADS)
+    for part, build in workloads.PARTS.items():
+        for op in build(0):
+            assert op.check(op.run()) == [], (part, op.label)
+
+
 def _python310():
     """A Python 3.10 interpreter from PATH or pyenv, or None."""
     candidates = [shutil.which("python3.10"),
