@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
@@ -56,10 +56,10 @@ class SolverOptions:
     tol_eigen: float = 1e-8
     tol_hw: float = 1e-8
     tol_match: float = 1e-7
-    n_random: int = 64
-    random_scale: float = 1.5
     seed: int = 0
     strategies: tuple = STRATEGIES
+    n_random: ClassVar[int] = 64
+    random_scale: ClassVar[float] = 1.5
 
     def __post_init__(self):
         for name in ("tol_newton", "tol_match"):
@@ -71,11 +71,6 @@ class SolverOptions:
             value = getattr(self, name)
             if not value > 0.0:
                 raise InputRangeError(f"{name} must be positive, got {value!r}")
-        if self.n_random < 0:
-            raise InputRangeError(f"n_random must be non-negative, got {self.n_random!r}")
-        if not 0.0 < self.random_scale < math.inf:
-            raise InputRangeError(
-                f"random_scale must be finite and positive, got {self.random_scale!r}")
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise InputRangeError(
@@ -158,7 +153,7 @@ def _residuals(lam: np.ndarray, system: BetheSystem):
     f = terms[0] - terms[1]
     scale = np.abs(terms[0]) + np.abs(terms[1])
     out = np.zeros(f.shape)
-    np.divide(np.abs(f), scale, out=out, where=scale > 0.0)
+    np.divide(np.abs(f), scale, out=out, where=scale != 0.0)
     return f.T, out.max(axis=0)
 
 
@@ -195,8 +190,8 @@ def bethe_residual(lam, system: BetheSystem) -> np.ndarray:
 
 def scaled_residual(lam, system: BetheSystem) -> float:
     """max_j |F_j| / (|t1_j| + |t2_j|); the 0/0 of an exactly-cancelling pair
-    counts as 0.  Relative scaling keeps the spurious near-zero sheet around
-    the poles from masquerading as converged."""
+    counts as 0, and a NaN term gives NaN.  Relative scaling keeps the
+    spurious near-zero sheet around the poles from masquerading as converged."""
     return float(_residuals(_row(lam), system)[1][0])
 
 
@@ -211,18 +206,18 @@ def jacobian(lam, system: BetheSystem) -> np.ndarray:
 
 def _reject_reasons(lam: np.ndarray, s: float) -> np.ndarray:
     """Reject reason (or None) of each converged root set, the rows of an
-    n x m array: the first that applies in the order nonfinite, descendant,
-    degenerate, singular."""
-    finite = np.isfinite(lam).all(axis=1)
-    lam = np.where(finite[:, None], lam, 0.0)
+    n x m array: the first that applies in the order descendant, degenerate,
+    singular.  A converged row is finite: Newton starts only from finite
+    seeds and moves only to points whose scaled residual is finite, which it
+    is not where a root is infinite or NaN."""
     first, second = np.triu_indices(lam.shape[1], 1)
     # the cleared system has a spurious near-zero sheet near +-is; only the
     # exact pair is meaningful there and it is handled in closed form
     near_pole = np.minimum(np.abs(lam - 1j * s), np.abs(lam + 1j * s)).min(axis=1)
-    return np.select([~finite, np.abs(lam).max(axis=1) > DESCENDANT_CUTOFF,
+    return np.select([np.abs(lam).max(axis=1) > DESCENDANT_CUTOFF,
                       (np.abs(lam[:, first] - lam[:, second]) < DEGENERACY_TOL).any(axis=1),
                       near_pole < SINGULAR_PROXIMITY_TOL],
-                     ["nonfinite", "descendant", "degenerate", "singular"], None)
+                     ["descendant", "degenerate", "singular"], None)
 
 
 def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = MAX_ITER):
@@ -250,10 +245,11 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
 
     Returns (roots, iterations, reasons, best): the last iterates as an n x m
     array, each row's iteration count (for a failed row, the iteration it
-    failed in), per row None (converged) or the reason it failed ("nonfinite",
-    "singular-jacobian", "stalled" or "max-iter") as an object array, and each
-    row's best scaled residual.  Each row evaluates exactly the points it
-    would evaluate alone.  Rows run in blocks whose largest work array stays
+    failed in), per row None (converged) or the reason it failed ("nonfinite"
+    for a seed with a nonfinite entry, at iteration 0, "singular-jacobian",
+    "stalled" or "max-iter") as an object array, and each row's best scaled
+    residual (NaN for a nonfinite seed).  Each row evaluates exactly the
+    points it would evaluate alone.  Rows run in blocks whose largest work array stays
     within bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the
     pair factors of the line search's second pass (2 m (m-1) per damping
     level)."""
@@ -283,19 +279,19 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
     # written for a row when it ends; a row that never ends keeps max_iter
     iterations = np.full(n, max_iter)
     reasons = np.full(n, None, dtype=object)
+    # only a seed can be nonfinite: a candidate is accepted only where its
+    # scaled residual is finite
+    finite = np.isfinite(lam).all(axis=1)
+    iterations[~finite], reasons[~finite] = 0, "nonfinite"
+    active = np.flatnonzero(finite)  # the unfinished rows; a row leaves when it ends
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
-    f, best = _residuals(lam, system)
-    active = np.arange(n)  # the unfinished rows; a row leaves when it ends
+    f, best = np.empty_like(lam), np.full(n, np.nan)
+    f[active], best[active] = _residuals(lam[active], system)
     for it in range(max_iter):
-        current = lam[active]
-        finite = np.isfinite(current).all(axis=1)
-        if not finite.all():
-            iterations[active[~finite]], reasons[active[~finite]] = it, "nonfinite"
-            active, current = active[finite], current[finite]
         if not active.size:
             break
-        step = _newton_steps(_jacobians(current, system), f[active])
+        step = _newton_steps(_jacobians(lam[active], system), f[active])
         done = best[active] <= tol
         usable = np.isfinite(step).all(axis=1)
         # the line search's rows, as positions in active, and those that polish:
@@ -425,17 +421,12 @@ def sector_seeds(system: BetheSystem, opts: SolverOptions) -> np.ndarray:
 
 
 def _fingerprints(lam: np.ndarray) -> np.ndarray:
-    """np.poly(row)[1:] of each row of an n x m array, bit for bit: real where
-    the row is closed under conjugation, and each step c_k - lambda_j c_{k-1}
-    summed in the order of np.convolve's complex dot product."""
+    """The coefficients of prod_j (z - lambda_j) after the leading 1, for each
+    row of an n x m array."""
     coeffs = np.zeros((len(lam), lam.shape[1] + 1), dtype=complex)
     coeffs[:, 0] = 1.0
-    for j, w in enumerate(-lam.T[:, :, None]):
-        prev, cur = coeffs[:, :j + 1], coeffs[:, 1:j + 2]
-        coeffs.real[:, 1:j + 2], coeffs.imag[:, 1:j + 2] = (
-            (prev.real * w.real + cur.real) - prev.imag * w.imag,
-            prev.real * w.imag + (prev.imag * w.real + cur.imag))
-    coeffs.imag[(np.sort(lam, axis=1) == np.sort(np.conj(lam), axis=1)).all(axis=1)] = 0.0
+    for j, root in enumerate(lam.T[:, :, None]):
+        coeffs[:, 1:j + 2] -= root * coeffs[:, :j + 1]
     return coeffs[:, 1:]
 
 
@@ -443,8 +434,7 @@ class DeflationRegistry:
     """Unordered root-set dedup via elementary symmetric polynomials,
     identifying a set with its complex conjugate."""
 
-    def __init__(self, tol: float = DEFLATION_TOL):
-        self.tol = tol
+    def __init__(self):
         self._fingerprints = []  # one per registered set
 
     def add(self, lam) -> bool:
@@ -465,7 +455,7 @@ class DeflationRegistry:
                 row = int(fresh.argmax())
                 new[row], fresh[row], ref = True, False, fps[row]
                 self._fingerprints.append(ref)
-            bound = self.tol * (1.0 + np.abs(ref))
+            bound = DEFLATION_TOL * (1.0 + np.abs(ref))
             for cands in (fps, np.conj(fps)):
                 fresh &= ~(np.abs(cands - ref) <= bound).all(axis=1)
         return new

@@ -17,10 +17,9 @@ from .hamiltonian import ChainHamiltonian
 from .su2 import Spin, s_minus, s_z
 
 
-def sector_eigh(spin: Spin, length: int, m: int, vectors: bool = False,
-                hamiltonian: ChainHamiltonian = None):
-    """Dense Hermitian eigendecomposition of one fixed-m block, ascending;
-    a block above su2.DENSE_THRESHOLD states raises ResourceCapError."""
+def sector_eigh(spin: Spin, length: int, m: int, hamiltonian: ChainHamiltonian = None):
+    """Dense Hermitian eigenvalues of one fixed-m block, ascending; a block
+    above su2.DENSE_THRESHOLD states raises ResourceCapError."""
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(spin, length)
     basis = hilbert.sector_basis(spin, length, m)
@@ -28,10 +27,7 @@ def sector_eigh(spin: Spin, length: int, m: int, vectors: bool = False,
         raise ResourceCapError(
             f"sector dimension {len(basis)} exceeds dense threshold {su2.DENSE_THRESHOLD}"
         )
-    block = hamiltonian.sector_matrix(m).toarray()
-    if vectors:
-        return np.linalg.eigh(block)
-    return np.linalg.eigvalsh(block)
+    return np.linalg.eigvalsh(hamiltonian.sector_matrix(m).toarray())
 
 
 @dataclass

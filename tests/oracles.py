@@ -200,8 +200,6 @@ def random_seed_loop(rng, n_random: int, m: int, scale: float) -> list:
 def classify_loop(lam, s: float):
     """Reject reason of one root set from scalar tests, in priority order."""
     lam = np.asarray(lam, dtype=complex)
-    if not np.all(np.isfinite(lam)):
-        return "nonfinite"
     if max(abs(z) for z in lam) > solver.DESCENDANT_CUTOFF:
         return "descendant"
     for a, b in itertools.combinations(range(len(lam)), 2):

@@ -22,6 +22,7 @@ PACKAGE = ROOT / "src" / "xxxchain"
 RECONCILE_DEMO = ROOT / "scripts" / "reconcile_demo.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+PERFBENCH_TESTS = ROOT / "perfbench" / "test_perfbench.py"
 
 
 def load_module(name, path):
@@ -105,6 +106,20 @@ def test_benchmark_operations_pass_their_own_checks():
     for part, build in workloads.PARTS.items():
         for op in build(0):
             assert op.check(op.run()) == [], (part, op.label)
+
+
+def test_benchmark_self_tests_read_the_solver_settings(monkeypatch):
+    # the benchmark's own tests are not part of this suite, yet they read
+    # SolverOptions.n_random and random_scale and call the one-row Newton wrappers
+    from xxxchain.solver import BetheSystem, SolverOptions
+    from xxxchain.su2 import Spin
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends its own paths
+    selftests = load_module("perfbench_self_tests", PERFBENCH_TESTS)
+    outcomes = selftests._outcomes(BetheSystem(Spin(1), 4, 2), SolverOptions(seed=0))
+    assert len(outcomes) == 77
+    assert ("NewtonFailureError", "stalled") in {o[:2] for o in outcomes if isinstance(o, tuple)}
+    selftests.test_wrapper_reraises_newton_failures_unchanged()
 
 
 def _python310():
