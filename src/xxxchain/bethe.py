@@ -27,6 +27,8 @@ from .su2 import Spin
 POLE_TOL = 1e-10
 U_DEGENERACY_TOL = 1e-9
 SIGMA_DENOM_TOL = 1e-13
+# the largest x with e^x finite
+LOG_MAX = float(np.log(np.finfo(float).max))
 # bound on the widest (subset, member) x (batch x rows) layer of one plane-wave block
 BLOCK_ENTRIES = 1 << 20
 
@@ -81,11 +83,6 @@ def sigma_lambda(lam, mu):
     if np.min(np.abs(den)) < SIGMA_DENOM_TOL:
         raise SingularScatteringError("rapidity difference at -i")
     return (lam - mu - 1j) / den
-
-
-@lru_cache(maxsize=None)
-def permutations_of(m: int) -> tuple:
-    return tuple(itertools.permutations(range(m)))
 
 
 @lru_cache(maxsize=None)
@@ -235,10 +232,23 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
     if not np.isfinite(given).all():
         raise InputRangeError(f"{'k' if lam is None else 'lambda'} must be finite, got {given}")
     if lam is not None:
+        # past this |lambda|, e^{ik} - 1 = 2is/(lambda - is) is below U_DEGENERACY_TOL
+        # and the quotient itself can overflow
+        if np.max(np.maximum(abs(given.real), abs(given.imag)), initial=0.0) > \
+                spin.s * (2 / U_DEGENERACY_TOL + 1):
+            raise PoleError("momentum with e^{ik} = 1 (descendant direction)")
         lam = tuple(complex(z) for z in given)
         k = tuple(np.atleast_1d(lambda_to_k(given, spin))) if lam else ()
     else:
         k = tuple(complex(z) for z in given)
+    # |e^{+-ik}| and the plane-wave products of powers up to L are at most
+    # e^{L sum|Im k|}; the norm and the eigen-residual square them, the latter
+    # after a product with E, itself at most ~e^{sum|Im k|}
+    growth = 2 * (length + 1) * np.sum(np.abs(np.imag(k)))
+    if growth > LOG_MAX:
+        raise InputRangeError(f"2(L+1) sum|Im k| = {growth:.4g} exceeds {LOG_MAX:.4g}: "
+                              "e^{ik}, its powers up to L and their squares are not representable")
+    if lam is None:
         lam = tuple(np.atleast_1d(k_to_lambda(given, spin))) if k else ()
     m = len(k)
     if m > spin.two_s * length:

@@ -37,7 +37,7 @@ def _emit(args, payload, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        json.dump(payload(), sys.stdout, indent=2, sort_keys=True)
+        json.dump(payload(), sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         sys.stdout.write("\n")
 
 

@@ -54,7 +54,11 @@ def beta(spin: Spin, m1: int, m2: int, n: int) -> float:
 @lru_cache(maxsize=None)
 def build_beta_table(spin: Spin) -> MappingProxyType:
     """Read-only map (m1, m2, n) -> beta^n_{m1,m2} over the full window
-    (zeros included), built once per spin."""
+    (zeros included), built once per spin.  Raises ResourceCapError when
+    local_h, of dimension (2s+1)^2, would exceed DENSE_THRESHOLD."""
+    if spin.dim**2 > DENSE_THRESHOLD:
+        raise ResourceCapError(
+            f"local dimension {spin.dim**2} exceeds dense threshold {DENSE_THRESHOLD}")
     table = {}
     for m1 in range(spin.two_s + 1):
         for m2 in range(spin.two_s + 1):

@@ -355,17 +355,6 @@ def spectrum_with_multiplicities(values, tol=1e-8):
     return [(v, c) for v, c in groups]
 
 
-def draw_loop(rng, samples, size, accept):
-    """Rows rng.normal(size) + 1j * rng.normal(size), drawn one at a time until
-    `samples` pass accept(row): the draw loop of the scalar sampled checks."""
-    rows = []
-    while len(rows) < samples:
-        row = rng.normal(size=size) + 1j * rng.normal(size=size)
-        if accept(row):
-            rows.append(row)
-    return np.array(rows)
-
-
 # The sampled invariant checks of `xxxchain verify` as scalar loops, one
 # kernel call per sample.
 
@@ -374,29 +363,26 @@ def sigma_consistency_loop(seed=0, samples=300):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spin in LOCAL_SPINS:
-        count = 0
-        while count < samples:
+        for _ in range(samples):
             u, v, w = rng.normal(size=3) + 1j * rng.normal(size=3)
             try:
                 suv, svu = bethe.sigma_u(u, v, spin), bethe.sigma_u(v, u, spin)
                 suw, svw = bethe.sigma_u(u, w, spin), bethe.sigma_u(v, w, spin)
             except bethe.SingularScatteringError:
                 continue
-            count += 1
             worst = max(worst, abs(suv * svu - 1.0))
-            worst = max(worst, abs(suv * suw * svw - svw * suw * suv))
+            braid = suv * suw * svw
+            worst = max(worst, abs(braid - svw * suw * suv) / max(1.0, abs(braid)))
     return _check("sigma-unitarity-braid", worst, 1e-12)
 
 
 def sigma_rapidity_form_loop(seed=0, samples=200):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    count = 0
-    while count < samples:
+    for _ in range(samples):
         lam, mu = rng.normal(size=2) + 1j * rng.normal(size=2)
         if abs(lam - mu + 1j) < 1e-2 or abs(lam - mu - 1j) < 1e-2:
             continue
-        count += 1
         target = (lam - mu - 1j) / (lam - mu + 1j)
         for spin in LOCAL_SPINS:
             if min(abs(lam - 1j * spin.s), abs(lam + 1j * spin.s),
@@ -412,53 +398,61 @@ def energy_forms_loop(seed=0, samples=200):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spin in LOCAL_SPINS:
-        count = 0
-        while count < samples:
+        for _ in range(samples):
             lam = rng.normal(size=3) + 1j * rng.normal(size=3)
             if min(np.min(np.abs(lam - 1j * spin.s)), np.min(np.abs(lam + 1j * spin.s))) < 1e-2:
                 continue
-            count += 1
             k = bethe.lambda_to_k(lam, spin)
-            worst = max(worst, abs(bethe.energy_lambda(lam, spin) - bethe.energy_k(k, spin)))
+            energy = bethe.energy_lambda(lam, spin)
+            worst = max(worst, abs(energy - bethe.energy_k(k, spin)) / max(1.0, abs(energy)))
     return _check("energy-form-equality", worst, 1e-12)
 
 
-def coinciding_constraint_loop(seed=0, samples=30):
+def _momenta(rng, samples, m):
+    """`samples` rows of m momenta k = N + 0.3i N, drawn as the suite draws them."""
+    draws = rng.normal(size=(samples, 2, m))
+    return draws[:, 0] + 0.3j * draws[:, 1]
+
+
+def coinciding_constraint_loop(seed=0, samples=10):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spin in LOCAL_SPINS:
         ts = spin.two_s
-        for _ in range(samples):
-            m = int(rng.integers(2, 5))
-            k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
-            i = int(rng.integers(m - 1))
-            x = sorted(int(v) for v in rng.integers(1, 7, size=m))
-            x[i + 1] = x[i]
-            # rows x + e_i + e_{i+1}, x + e_i, x + e_{i+1}, x
-            rows = [list(x) for _ in range(4)]
-            for row, steps in zip(rows, ((1, 1), (1, 0), (0, 1), (0, 0))):
-                row[i] += steps[0]
-                row[i + 1] += steps[1]
-            a = plane_wave_sums(rows, k, spin)
-            val = a[0] + (ts - 1) * a[1] - (ts + 1) * a[2] + a[3]
-            worst = max(worst, abs(val) / max(abs(a[3]), abs(a[0]), 1.0))
+        for m in (2, 3, 4):
+            ks = _momenta(rng, samples, m)
+            slots = rng.integers(m - 1, size=samples).tolist()
+            xs = np.sort(rng.integers(1, 7, size=(samples, m)), axis=1).tolist()
+            for k, i, x in zip(ks, slots, xs):
+                x[i + 1] = x[i]
+                # rows x + e_i + e_{i+1}, x + e_i, x + e_{i+1}, x
+                rows = [list(x) for _ in range(4)]
+                for row, steps in zip(rows, ((1, 1), (1, 0), (0, 1), (0, 0))):
+                    row[i] += steps[0]
+                    row[i + 1] += steps[1]
+                a = plane_wave_sums(rows, k, spin)
+                val = a[0] + (ts - 1) * a[1] - (ts + 1) * a[2] + a[3]
+                # sum_P |A_P| max_p |u_p|^(x_1+...+x_m) bounds each plane-wave term of a(x)
+                amp_sum = sum(abs(amp) for _, amp in permutation_amplitudes(k, spin))
+                u_max = max(abs(np.exp(1j * k)))
+                terms = sum(abs(c) * amp_sum * u_max ** sum(row)
+                            for c, row in zip((1, ts - 1, ts + 1, 1), rows))
+                worst = max(worst, abs(val) / max(terms, 1.0))
     return _check("coinciding-coordinate-constraint", worst, 1e-11)
 
 
-def exchange_relation_loop(seed=0, samples=40):
+def exchange_relation_loop(seed=0, samples=14):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for spin in LOCAL_SPINS:
-        for _ in range(samples):
-            m = int(rng.integers(2, 5))
-            k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
-            u = np.exp(1j * k)
-            perms = bethe.permutations_of(m)
-            perm = perms[rng.integers(len(perms))]
-            j = int(rng.integers(m - 1))
-            swapped = list(perm)
-            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            lhs = amplitude_AP(tuple(swapped), k, spin)
-            rhs = bethe.sigma_u(u[perm[j]], u[perm[j + 1]], spin) * amplitude_AP(perm, k, spin)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        for m in (2, 3, 4):
+            ks = _momenta(rng, samples, m)
+            perms = rng.permuted(np.tile(np.arange(m), (samples, 1)), axis=1).tolist()
+            for k, perm, j in zip(ks, perms, rng.integers(m - 1, size=samples).tolist()):
+                u = np.exp(1j * k)
+                swapped = list(perm)
+                swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+                lhs = amplitude_AP(swapped, k, spin)
+                rhs = bethe.sigma_u(u[perm[j]], u[perm[j + 1]], spin) * amplitude_AP(perm, k, spin)
+                worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return _check("amplitude-exchange-relation", worst, 1e-12)

@@ -286,16 +286,35 @@ def test_flags_a_command_does_not_read_are_usage_errors():
 
 
 def test_nonfinite_roots_and_momenta_are_usage_errors():
-    cases = (("state", "--lambda", "nan"), ("state", "--lambda", "0.1,inf"),
-             ("state", "--k", "inf"), ("state", "--k", "0.3,nan"),
-             ("aba-compare", "--lambda", "0.2,nan"))
+    nonfinite = "must be finite"
+    overflow = "are not representable"
+    descendant = "descendant direction"
+    cases = (("state", "--lambda", "nan", nonfinite), ("state", "--lambda", "0.1,inf", nonfinite),
+             ("state", "--k", "inf", nonfinite), ("state", "--k", "0.3,nan", nonfinite),
+             ("aba-compare", "--lambda", "0.2,nan", nonfinite),
+             # finite, but the state's arithmetic would overflow to NaN or Infinity
+             ("state", "--lambda", "1e308+1e308j", descendant), ("state", "--k", "0-700j", overflow),
+             ("state", "--k", "0-800j", overflow),
+             ("aba-compare", "--lambda", "1e308+1e308j", descendant))
     # rejected before any arithmetic, so no NumPy RuntimeWarning is raised
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for command, flag, value in cases:
-            code, out, err = run_cli(command, "--spin", "1/2", "-L", "4", flag, value)
+        for command, flag, value, message in cases:
+            code, out, err = run_cli(command, "--spin", "1/2", "-L", "3", flag, value)
             assert code == 2, (command, flag, value)
-            assert not out and "must be finite" in err
+            assert not out and message in err, (command, flag, value, err)
+
+
+def test_json_output_rejects_nan(monkeypatch):
+    monkeypatch.setattr(cli.verify, "overlap", lambda u, v: float("nan"))
+    with pytest.raises(ValueError):
+        run_cli("aba-compare", "--spin", "1/2", "-L", "3", "--count", "1")
+
+
+def test_local_hamiltonian_above_dense_threshold_is_resource_error():
+    # (2s+1)^2 = 4356 > 4096: refused before the beta table or local_h is built
+    code, out, err = run_cli("ed", "--spin", "65/2", "-L", "2", "-m", "0")
+    assert code == 3 and not out and "exceeds dense threshold" in err
 
 
 def test_verify_passes_and_filters():

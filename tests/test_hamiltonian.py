@@ -166,6 +166,16 @@ def test_chain_cap():
         ChainHamiltonian(Spin(1), 1)
 
 
+def test_beta_table_refuses_local_dimension_above_dense_threshold(monkeypatch):
+    # local_h is dense, (2s+1)^2 square: the table it is built from is refused
+    # under the rule of ChainHamiltonian.dense and sector_eigh
+    monkeypatch.setattr(hamiltonian, "DENSE_THRESHOLD", 16)
+    uncached = build_beta_table.__wrapped__
+    assert len(uncached(Spin(3))) == len(build_beta_table(Spin(3)))
+    with pytest.raises(ResourceCapError, match="local dimension 25 exceeds dense threshold 16"):
+        uncached(Spin(4))
+
+
 def test_sector_matrix_real_symmetric():
     for spin, length, m in ((Spin(1), 4, 2), (Spin(2), 3, 3)):
         block = ChainHamiltonian(spin, length).sector_matrix(m).toarray()

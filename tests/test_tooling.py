@@ -10,6 +10,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -101,11 +102,21 @@ def test_benchmark_workloads_build_their_operations():
 
 
 def test_benchmark_operations_pass_their_own_checks():
-    # perfbench/run.py exits 1 when any output fails its check
+    # perfbench/run.py exits 1 when any output fails its check; the tallies
+    # pin what its `certified` metric counts at seed 0, so a change that drops
+    # a root or a check fails here first
     workloads = load_module("perfbench_workloads", WORKLOADS)
+    tallies = {}
     for part, build in workloads.PARTS.items():
+        tallies[part] = Counter()
         for op in build(0):
-            assert op.check(op.run()) == [], (part, op.label)
+            output = op.run()
+            assert op.check(output) == [], (part, op.label)
+            tallies[part] += op.tally(output)
+    # the workloads: solver = solve_grid + reconcile (221), states = wide_sector + verify (161)
+    assert {part: tally["certified"] for part, tally in tallies.items()} == {
+        "solve_grid": 74, "reconcile": 147, "wide_sector": 91, "verify": 70}
+    assert tallies["reconcile"]["levels"] == 155
 
 
 def test_benchmark_self_tests_read_the_solver_settings(monkeypatch):
