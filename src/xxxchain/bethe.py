@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert
-from .errors import DegenerateRootsError, InputRangeError, PoleError, SingularScatteringError
+from .errors import (ChainError, DegenerateRootsError, InputRangeError, PoleError,
+                     SingularScatteringError)
 from .su2 import Spin
 
 POLE_TOL = 1e-10
@@ -29,21 +30,21 @@ U_DEGENERACY_TOL = 1e-9
 SIGMA_DENOM_TOL = 1e-13
 # the largest x with e^x finite
 LOG_MAX = float(np.log(np.finfo(float).max))
-# bound on the widest (subset, member) x (batch x rows) layer of one plane-wave block
+# bound on the work arrays of one block: a plane-wave block's terms, a Newton block's widest
 BLOCK_ENTRIES = 1 << 20
 
 
 def u_from_lambda(lam, spin: Spin):
     """Moebius map e^{ik} = (lambda + is)/(lambda - is)."""
     lam = np.asarray(lam, dtype=complex)
-    if np.min(np.abs(lam - 1j * spin.s)) < POLE_TOL:
+    if np.min(np.abs(lam - 1j * spin.s), initial=np.inf) < POLE_TOL:
         raise PoleError(f"rapidity within {POLE_TOL} of +i*s")
     return (lam + 1j * spin.s) / (lam - 1j * spin.s)
 
 
 def lambda_from_u(u, spin: Spin):
     u = np.asarray(u, dtype=complex)
-    if np.min(np.abs(u - 1.0)) < U_DEGENERACY_TOL:
+    if np.min(np.abs(u - 1.0), initial=np.inf) < U_DEGENERACY_TOL:
         raise PoleError("e^{ik} too close to 1 (zero-momentum / descendant direction)")
     return 1j * spin.s * (u + 1.0) / (u - 1.0)
 
@@ -54,7 +55,7 @@ def k_to_lambda(k, spin: Spin):
 
 def lambda_to_k(lam, spin: Spin):
     u = u_from_lambda(lam, spin)
-    if np.min(np.abs(u)) < POLE_TOL:
+    if np.min(np.abs(u), initial=np.inf) < POLE_TOL:
         raise PoleError(f"rapidity within {POLE_TOL} of -i*s")
     return -1j * np.log(u)
 
@@ -100,14 +101,14 @@ def subsets_of(m: int) -> tuple:
     return tuple(layers)
 
 
-def _check_momenta(u: np.ndarray):
-    m = len(u)
+def _check_momenta(u: np.ndarray) -> np.ndarray:
+    """u, the momenta e^{ik} on its last axis, once none is 1 and no two coincide."""
     if np.min(np.abs(u - 1.0), initial=np.inf) < U_DEGENERACY_TOL:
         raise PoleError("momentum with e^{ik} = 1 (descendant direction)")
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(u[a] - u[b]) < U_DEGENERACY_TOL:
-                raise DegenerateRootsError(f"coinciding momenta at indices {a}, {b}")
+    for a, b in itertools.combinations(range(u.shape[-1]), 2):
+        if np.min(np.abs(u[..., a] - u[..., b]), initial=np.inf) < U_DEGENERACY_TOL:
+            raise DegenerateRootsError(f"coinciding momenta at indices {a}, {b}")
+    return u
 
 
 def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
@@ -189,18 +190,21 @@ class BetheState:
 
 def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
     """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every row x, ordered or not, of
-    the (..., n, m) integer `coords`, with the momenta u[..., :] of its batch
-    entry, and sum_P |A_P|.  P_t = p multiplies A_P by prod_{q in S} factor[q, p]
+    the (..., n, m) integer `coords`, broadcast against the batch of the momenta
+    u[..., :], and sum_P |A_P|.  P_t = p multiplies A_P by prod_{q in S} factor[q, p]
     over the earlier momenta S in any order, so one partial sum per subset S
-    stands for all m! orderings.  Blocks of (batch x rows) keep the widest
-    layer within about BLOCK_ENTRIES entries."""
+    stands for all m! orderings.  Layer t depends on x_1..x_t only: with (batch
+    entry, row) flattened, it is evaluated once per run of consecutive rows of one
+    batch entry that share them, on a sorted table once per distinct prefix.
+    Blocks of rows keep their terms, m 2^(m-1) a row, within about BLOCK_ENTRIES."""
     batch, (n, m) = u.shape[:-1], coords.shape[-2:]
     lo, hi = int(coords.min(initial=0)), int(coords.max(initial=0))
-    u, cols = u.reshape(math.prod(batch), m), coords.reshape(math.prod(batch), n, m) - lo
-    # u_p^x at pos[b, p] + x - lo of upow, for x = lo..hi, as running products from u^lo
+    u = u.reshape(math.prod(batch), m)
+    coords = np.broadcast_to(coords, batch + (n, m)).reshape(len(u), n, m)
+    # u_p^x at pos[b, p] + x of upow, for x = lo..hi, as running products from u^lo
     upow = u[:, :, None].repeat(hi - lo + 1, axis=-1)
     upow[..., 0] = u ** lo
-    pos = np.arange(0, upow.size, hi - lo + 1).reshape(u.shape + (1,))
+    pos = np.arange(0, upow.size, hi - lo + 1).reshape(u.shape) - lo
     upow = upow.cumprod(axis=-1).ravel()
     factor = _pair_factors(u, spin)
     factor[:, range(m), range(m)] = 1.0
@@ -210,62 +214,110 @@ def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
     amp_sum = np.ones((len(u), 1))
     for _, rest, coef in layers:
         amp_sum = (amp_sum[:, rest] * abs(coef)).sum(axis=-1)
-    limit = max(1, BLOCK_ENTRIES // max((members.size for members, _, _ in layers), default=1))
-    nb, nr = max(1, limit // n), min(n, limit)
-    vec = np.empty((len(u), n), dtype=complex)
-    for b, r in itertools.product(range(0, len(u), nb), range(0, n, nr)):
-        f = np.ones((1, 1, 1), dtype=complex)
-        for t, (members, rest, coef) in enumerate(layers):
-            # w[b, p, r] = u_p^{x_t} of row r; one member at a time keeps temporaries a layer wide
-            w = upow[pos[b:b + nb] + cols[b:b + nb, None, r:r + nr, t]]
-            f = sum(f[:, rest[:, j]] * coef[b:b + nb, :, j, None] * w[:, members[:, j]]
-                    for j in range(t + 1))
-        vec[b:b + nb, r:r + nr] = f[:, 0]
+    rows = max(1, BLOCK_ENTRIES // max(sum(members.size for members, _, _ in layers), 1))
+    vec = np.empty(len(u) * n, dtype=complex)
+    for start in range(0, vec.size, rows):
+        flat = np.arange(start, min(start + rows, vec.size))
+        owner, cols = flat // n, coords[flat // n, flat % n]
+        # a row opens a run at layer t where its batch entry or x_1..x_t differ from the row before
+        opens = np.ones((len(flat), m + 1), dtype=bool)
+        opens[1:, 0], opens[1:, 1:] = owner[1:] != owner[:-1], cols[1:] != cols[:-1]
+        np.logical_or.accumulate(opens, axis=1, out=opens)
+        # f[run, S]: the partial sum of subset S over the run's prefix, 1 per batch entry
+        f = np.ones((np.count_nonzero(opens[:, 0]), 1), dtype=complex)
+        for t, (members, rest, coef) in enumerate(layers, 1):
+            # each run's first row and the run of layer t - 1 it lies in; one member
+            # at a time keeps temporaries a layer wide
+            first = np.flatnonzero(opens[:, t])
+            parent = opens[:, t - 1].cumsum()[first, None] - 1
+            b, x = owner[first], cols[first, t - 1, None]
+            f = sum(f[parent, rest[:, j]] * coef[b, :, j] *
+                    upow[pos[b[:, None], members[:, j]] + x] for j in range(t))
+        vec[start:start + rows] = f[opens[:, -1].cumsum() - 1, 0]
     return vec.reshape(batch + (n,)), amp_sum[:, 0].reshape(batch)
 
 
+def build_bethe_states(spin: Spin, length: int, lam_rows) -> list:
+    """Per row of the n x m rapidities `lam_rows`, the BetheState that
+    `build_bethe_state(spin, length, lam=row)` returns or the ChainError it raises.
+    The rows are checked as one array (row by row only if one fails), and those
+    that pass are built in one kernel call."""
+    return _build_states(spin, length, np.asarray(lam_rows, dtype=complex), "lambda")
+
+
 def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
-    """Assemble Psi_m = sum_{x1<=...<=xm} a(x) |x1,...,xm> on the m sector."""
+    """Assemble Psi_m = sum_{x1<=...<=xm} a(x) |x1,...,xm> on the m sector: the
+    one-row call of `build_bethe_states`, which here also takes momenta."""
     if (k is None) == (lam is None):
         raise ValueError("provide exactly one of k or lam")
     given = np.atleast_1d(np.asarray(k if lam is None else lam, dtype=complex))
-    if not np.isfinite(given).all():
-        raise InputRangeError(f"{'k' if lam is None else 'lambda'} must be finite, got {given}")
-    if lam is not None:
+    state = _build_states(spin, length, given[None], "k" if lam is None else "lambda")[0]
+    if isinstance(state, ChainError):
+        raise state
+    return state
+
+
+def _build_states(spin: Spin, length: int, given: np.ndarray, name: str) -> list:
+    """build_bethe_states on the rows of `given`, rapidities if `name` is
+    "lambda" and momenta if it is "k"."""
+    m = given.shape[1]
+
+    def momenta(x):
+        """k, lambda and e^{ik} of one row x or of rows, or the first error of a row."""
+        if not np.isfinite(x).all():
+            raise InputRangeError(f"{name} must be finite, got {x}")
         # past this |lambda|, e^{ik} - 1 = 2is/(lambda - is) is below U_DEGENERACY_TOL
         # and the quotient itself can overflow
-        if np.max(np.maximum(abs(given.real), abs(given.imag)), initial=0.0) > \
+        if name == "lambda" and np.max(np.maximum(abs(x.real), abs(x.imag)), initial=0.0) > \
                 spin.s * (2 / U_DEGENERACY_TOL + 1):
             raise PoleError("momentum with e^{ik} = 1 (descendant direction)")
-        lam = tuple(complex(z) for z in given)
-        k = tuple(np.atleast_1d(lambda_to_k(given, spin))) if lam else ()
-    else:
-        k = tuple(complex(z) for z in given)
-    # |e^{+-ik}| and the plane-wave products of powers up to L are at most
-    # e^{L sum|Im k|}; the norm and the eigen-residual square them, the latter
-    # after a product with E, itself at most ~e^{sum|Im k|}
-    growth = 2 * (length + 1) * np.sum(np.abs(np.imag(k)))
-    if growth > LOG_MAX:
-        raise InputRangeError(f"2(L+1) sum|Im k| = {growth:.4g} exceeds {LOG_MAX:.4g}: "
-                              "e^{ik}, its powers up to L and their squares are not representable")
-    if lam is None:
-        lam = tuple(np.atleast_1d(k_to_lambda(given, spin))) if k else ()
-    m = len(k)
-    if m > spin.two_s * length:
-        raise InputRangeError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
+        k = lambda_to_k(x, spin) if name == "lambda" else x
+        # |e^{+-ik}| and the plane-wave products of powers up to L are at most
+        # e^{L sum|Im k|}; the norm and the eigen-residual square them, the latter
+        # after a product with E, itself at most ~e^{sum|Im k|}
+        growth = np.max(2 * (length + 1) * np.sum(np.abs(k.imag), axis=-1), initial=0.0)
+        if growth > LOG_MAX:
+            raise InputRangeError(f"2(L+1) sum|Im k| = {growth:.4g} exceeds {LOG_MAX:.4g}: e^{{ik}}, "
+                                  "its powers up to L and their squares are not representable")
+        lam = x if name == "lambda" else k_to_lambda(x, spin)
+        if m > spin.two_s * length:
+            raise InputRangeError(
+                f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
+        return k, lam, _check_momenta(np.exp(1j * k))
+
+    out = [None] * len(given)
+    try:
+        k, lam, u = momenta(given)
+    except ChainError:  # some row fails: each row alone gets its own first error
+        k, lam, u = np.zeros((3,) + given.shape, dtype=complex)
+        for i, row in enumerate(given):
+            try:
+                k[i], lam[i], u[i] = momenta(row)
+            except ChainError as exc:
+                out[i] = exc
+    good = [i for i, state in enumerate(out) if state is None]
+    if not good:  # the sector may not exist
+        return out
     basis = hilbert.sector_basis(spin, length, m)
-    u = np.exp(1j * np.asarray(k, dtype=complex))
-    _check_momenta(u)
     # coordinates x_1 <= ... <= x_m of every basis state, one row each
     sites = np.tile(np.arange(1, length + 1), len(basis))
     coords = np.repeat(sites, basis.occupations.ravel()).reshape(len(basis), m)
-    vec, amp_sum = _plane_wave_sum(coords, u, spin)
+    vec, amp_sum = _plane_wave_sum(coords, u[good], spin)
     # |x_1,...,x_m> carries the normalization sqrt(C(2s, m_j)) per site
     alpha = np.sqrt([math.comb(spin.two_s, j) for j in range(spin.dim)])
     vec *= np.prod(alpha[basis.occupations], axis=1)
-
-    norm = float(np.linalg.norm(vec))
+    # likewise |a(x)| <= sum_P |A_P| e^{L sum|Im k|}, which the norm squares
     scale = amp_sum * np.sqrt(len(basis))
-    if norm <= 1e-10 * max(scale, 1.0):
-        raise DegenerateRootsError("Bethe state has vanishing norm for this root set")
-    return BetheState(spin, length, k, lam, basis, vec, energy_k(k, spin), norm)
+    limit = np.exp(LOG_MAX / 2 - (length + 1) * np.sum(np.abs(k[good].imag), axis=1))
+    for j, i in enumerate(good):
+        if scale[j] > limit[j]:
+            out[i] = InputRangeError(f"sum_P |A_P| sqrt(dim) = {scale[j]:.4g} exceeds e^(LOG_MAX/2 "
+                                     f"- (L+1) sum|Im k|) = {limit[j]:.4g}: the squares of the "
+                                     "amplitudes may not be representable")
+        elif (norm := float(np.linalg.norm(vec[j]))) <= 1e-10 * max(scale[j], 1.0):
+            out[i] = DegenerateRootsError("Bethe state has vanishing norm for this root set")
+        else:
+            out[i] = BetheState(spin, length, tuple(map(complex, k[i])),
+                                tuple(map(complex, lam[i])), basis, vec[j], energy_k(k[i], spin),
+                                norm)
+    return out

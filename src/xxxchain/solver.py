@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
 from . import bethe, hilbert
-from .bethe import BetheState, build_bethe_state
+from .bethe import BetheState, build_bethe_state, build_bethe_states
 from .errors import ChainError, InputRangeError, NewtonFailureError
 from .hamiltonian import ChainHamiltonian
 from .su2 import Spin
@@ -507,18 +507,19 @@ def _settle(system: BetheSystem, roots: np.ndarray, iterations, residuals,
             hamiltonian: ChainHamiltonian, registry: Optional[DeflationRegistry]) -> list:
     """Deflation, state build and certificate of the Newton roots (rows, in catalog
     order) that `_reject_reasons` accepts, given their scaled residuals: per row its
-    RootCertificate or NewtonFailureError.  Only root sets new to the registry get a state."""
+    RootCertificate or NewtonFailureError.  Only root sets new to the registry get a
+    state, all of them from one `build_bethe_states` call."""
     new = np.ones(len(roots), dtype=bool) if registry is None else registry.add_rows(roots)
+    states = iter(build_bethe_states(system.spin, system.length, roots[new]))
     out = []
-    for lam, its, res, fresh in zip(roots, iterations, residuals, new):
+    for its, res, fresh in zip(iterations, residuals, new):
         if not fresh:
             out.append(NewtonFailureError("duplicate", "root set already deflated"))
             continue
-        try:
-            state = build_bethe_state(system.spin, system.length, lam=lam)
-        except ChainError as exc:
-            out.append(NewtonFailureError("state-degenerate", str(exc)))
-            out[-1].__cause__ = exc
+        state = next(states)
+        if isinstance(state, ChainError):
+            out.append(NewtonFailureError("state-degenerate", str(state)))
+            out[-1].__cause__ = state
         else:
             out.append(_certificate(state, float(res), int(its), hamiltonian))
     return out

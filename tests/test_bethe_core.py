@@ -10,6 +10,7 @@ from oracles import (amplitude_AP, amplitude_by_recursion, basis_position, permu
                      plane_wave_sum, plane_wave_sums, reduced_word)
 from xxxchain import bethe, hilbert
 from xxxchain.errors import (
+    ChainError,
     DegenerateRootsError,
     InputRangeError,
     PoleError,
@@ -293,11 +294,11 @@ def test_build_state_blocks_rows(monkeypatch):
     spin, length, m = Spin(1), 14, 7
     rng = np.random.default_rng(12)
     k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
+    # a block holds BLOCK_ENTRIES // terms rows: all 3,432 rows, then 1,000 (four blocks)
+    terms = sum(members.size for members, _ in bethe.subsets_of(m))
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 3432 * terms)
     whole = bethe.build_bethe_state(spin, length, k=k)
-    widest = max(members.size for members, _ in bethe.subsets_of(m))
-    assert widest * len(whole.basis) <= bethe.BLOCK_ENTRIES
-    # 1,000 rows a block splits the 3,432 rows into four
-    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 1000 * widest)
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 1000 * terms)
     state = bethe.build_bethe_state(spin, length, k=k)
     scale = np.max(np.abs(whole.vector))
     assert np.max(np.abs(state.vector - whole.vector)) <= 1e-14 * scale
@@ -312,10 +313,10 @@ def test_plane_wave_sum_blocks_batches(monkeypatch):
     u = np.exp(1j * (rng.normal(size=(3, m)) + 0.3j * rng.normal(size=(3, m))))
     coords = rng.integers(-3, 9, size=(3, 40, m))
     vec, amp_sum = bethe._plane_wave_sum(coords, u, spin)
-    widest = max(members.size for members, _ in bethe.subsets_of(m))
-    # two momentum sets a block, then 15 rows of one set a block
+    terms = sum(members.size for members, _ in bethe.subsets_of(m))
+    # two momentum sets a block, then 15 rows a block, some across two sets
     for limit in (2 * 40, 15):
-        monkeypatch.setattr(bethe, "BLOCK_ENTRIES", limit * widest)
+        monkeypatch.setattr(bethe, "BLOCK_ENTRIES", limit * terms)
         blocked, blocked_sum = bethe._plane_wave_sum(coords, u, spin)
         assert np.max(np.abs(blocked - vec)) <= 1e-14 * np.max(np.abs(vec))
         assert np.array_equal(blocked_sum, amp_sum)
@@ -333,6 +334,59 @@ def test_plane_wave_sum_matches_permutation_oracle():
         assert np.max(np.abs(vec - expected)) <= 1e-12 * np.max(np.abs(expected)), m
         expected_sum = sum(abs(amp) for _, amp in permutation_amplitudes(k, spin))
         assert abs(amp_sum - expected_sum) <= 1e-12 * expected_sum, m
+
+
+def test_plane_wave_sum_prefix_runs_are_order_blind(monkeypatch):
+    spin, length, m = Spin(2), 6, 4
+    rng = np.random.default_rng(13)
+    k = rng.normal(size=(2, m)) + 0.3j * rng.normal(size=(2, m))
+    basis = hilbert.sector_basis(spin, length, m)
+    sites = np.tile(np.arange(1, length + 1), len(basis))
+    table = np.repeat(sites, basis.occupations.ravel()).reshape(len(basis), m)
+    terms = sum(members.size for members, _ in bethe.subsets_of(m))
+    # 8 rows a block: the first edge cuts the run of rows with x_1 = 1 in two
+    assert np.count_nonzero(table[:, 0] == 1) > 8
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 8 * terms)
+    vec, amp_sum = bethe._plane_wave_sum(table, np.exp(1j * k), spin)
+    order = rng.permutation(len(table))
+    repeated = np.sort(rng.choice(len(table), size=2 * len(table)))
+    # the last variant ends on the row it starts with: the two batch entries meet
+    # on rows that agree in every coordinate
+    for rows in (order, repeated, repeated[::-1], np.r_[order, order[0]]):
+        again, again_sum = bethe._plane_wave_sum(table[rows], np.exp(1j * k), spin)
+        assert again.tobytes() == vec[:, rows].tobytes()
+        assert again_sum.tobytes() == amp_sum.tobytes()
+    for b in range(2):
+        expected = plane_wave_sums(table.tolist(), k[b], spin)
+        assert np.max(np.abs(vec[b] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_build_bethe_states_equals_one_row_builds():
+    spin, length = Spin(1), 6
+    rng = np.random.default_rng(14)
+    rows = [rng.normal(size=3) + 0.3j * rng.normal(size=3) for _ in range(3)] + [
+        [0.3, 0.3, 0.9],  # coinciding momenta
+        bethe.k_to_lambda(0.3 + 2e-9 * np.arange(3), spin),  # vanishing norm
+        [0.5j + 1e-11, 0.2, 0.7],  # at the pole +is
+        [-0.5j + 1e-12, 0.2, 0.7],  # at the pole -is
+        [0.2, np.nan, 0.3],
+        [1e12, 0.2, 0.4],  # descendant direction
+        0.5j + 1e-9 * np.arange(1, 4),  # 2(L+1) sum|Im k| past LOG_MAX
+        [0.1, 0.6, -1.2 + 0.4j]]
+    batch = bethe.build_bethe_states(spin, length, np.array(rows, dtype=complex))
+    kinds = set()
+    for lam, built in zip(rows, batch):
+        try:
+            alone = bethe.build_bethe_state(spin, length, lam=lam)
+        except ChainError as exc:
+            assert type(built) is type(exc) and str(built) == str(exc), lam
+            kinds.add(str(exc).split(" ")[0])
+            continue
+        assert built.vector.tobytes() == alone.vector.tobytes()
+        assert (built.energy, built.norm, built.k, built.lam) == \
+            (alone.energy, alone.norm, alone.k, alone.lam)
+    assert kinds == {"coinciding", "Bethe", "rapidity", "lambda", "momentum", "2(L+1)"}
+    assert sum(isinstance(state, bethe.BetheState) for state in batch) == 4
 
 
 @pytest.mark.parametrize("m", [0, 1, 3, 5])

@@ -566,6 +566,19 @@ def test_solve_sector_settles_as_solve_newton_seed_by_seed(spin, length, m, stra
     assert bits(batch) == bits(single)
 
 
+def test_solve_sector_builds_its_states_in_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = bethe._plane_wave_sum
+
+    def spy(coords, u, spin):
+        calls.append(u.shape)
+        return kernel(coords, u, spin)
+
+    monkeypatch.setattr(bethe, "_plane_wave_sum", spy)
+    certs = solve_sector(Spin(1), 6, 3)
+    assert len(calls) == 1 and calls[0][0] >= len(certs) > 1
+
+
 def test_certified_roots_permutation_invariance():
     spin, length, m = Spin(2), 4, 2
     certs = solve_sector(spin, length, m)
