@@ -37,14 +37,14 @@ BLOCK_ENTRIES = 1 << 20
 def u_from_lambda(lam, spin: Spin):
     """Moebius map e^{ik} = (lambda + is)/(lambda - is)."""
     lam = np.asarray(lam, dtype=complex)
-    if np.min(np.abs(lam - 1j * spin.s), initial=np.inf) < POLE_TOL:
+    if np.min(np.abs(lam - 1j * spin.s)) < POLE_TOL:
         raise PoleError(f"rapidity within {POLE_TOL} of +i*s")
     return (lam + 1j * spin.s) / (lam - 1j * spin.s)
 
 
 def lambda_from_u(u, spin: Spin):
     u = np.asarray(u, dtype=complex)
-    if np.min(np.abs(u - 1.0), initial=np.inf) < U_DEGENERACY_TOL:
+    if np.min(np.abs(u - 1.0)) < U_DEGENERACY_TOL:
         raise PoleError("e^{ik} too close to 1 (zero-momentum / descendant direction)")
     return 1j * spin.s * (u + 1.0) / (u - 1.0)
 
@@ -55,7 +55,7 @@ def k_to_lambda(k, spin: Spin):
 
 def lambda_to_k(lam, spin: Spin):
     u = u_from_lambda(lam, spin)
-    if np.min(np.abs(u), initial=np.inf) < POLE_TOL:
+    if np.min(np.abs(u)) < POLE_TOL:
         raise PoleError(f"rapidity within {POLE_TOL} of -i*s")
     return -1j * np.log(u)
 
@@ -101,14 +101,14 @@ def subsets_of(m: int) -> tuple:
     return tuple(layers)
 
 
-def _check_momenta(u: np.ndarray) -> np.ndarray:
-    """u, the momenta e^{ik} on its last axis, once none is 1 and no two coincide."""
+def _check_momenta(u: np.ndarray):
+    m = len(u)
     if np.min(np.abs(u - 1.0), initial=np.inf) < U_DEGENERACY_TOL:
         raise PoleError("momentum with e^{ik} = 1 (descendant direction)")
-    for a, b in itertools.combinations(range(u.shape[-1]), 2):
-        if np.min(np.abs(u[..., a] - u[..., b]), initial=np.inf) < U_DEGENERACY_TOL:
-            raise DegenerateRootsError(f"coinciding momenta at indices {a}, {b}")
-    return u
+    for a in range(m):
+        for b in range(a + 1, m):
+            if abs(u[a] - u[b]) < U_DEGENERACY_TOL:
+                raise DegenerateRootsError(f"coinciding momenta at indices {a}, {b}")
 
 
 def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
@@ -193,10 +193,10 @@ def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
     the (..., n, m) integer `coords`, broadcast against the batch of the momenta
     u[..., :], and sum_P |A_P|.  P_t = p multiplies A_P by prod_{q in S} factor[q, p]
     over the earlier momenta S in any order, so one partial sum per subset S
-    stands for all m! orderings.  Layer t depends on x_1..x_t only: with (batch
-    entry, row) flattened, it is evaluated once per run of consecutive rows of one
-    batch entry that share them, on a sorted table once per distinct prefix.
-    Blocks of rows keep their terms, m 2^(m-1) a row, within about BLOCK_ENTRIES."""
+    stands for all m! orderings.  Layer t is evaluated once per run of consecutive
+    (batch entry, row) pairs that share the entry and x_1..x_t, on a sorted table
+    once per distinct prefix, in blocks of rows whose terms, m 2^(m-1) a row, stay
+    within about BLOCK_ENTRIES."""
     batch, (n, m) = u.shape[:-1], coords.shape[-2:]
     lo, hi = int(coords.min(initial=0)), int(coords.max(initial=0))
     u = u.reshape(math.prod(batch), m)
@@ -238,11 +238,9 @@ def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
 
 
 def build_bethe_states(spin: Spin, length: int, lam_rows) -> list:
-    """Per row of the n x m rapidities `lam_rows`, the BetheState that
-    `build_bethe_state(spin, length, lam=row)` returns or the ChainError it raises.
-    The rows are checked as one array (row by row only if one fails), and those
-    that pass are built in one kernel call."""
-    return _build_states(spin, length, np.asarray(lam_rows, dtype=complex), "lambda")
+    """Per row of the n x m rapidities `lam_rows`, what `build_bethe_state(spin, length,
+    lam=row)` returns or raises; the rows that pass its checks share one kernel call."""
+    return _build_states(spin, length, [(None, lam) for lam in lam_rows])
 
 
 def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
@@ -250,74 +248,71 @@ def build_bethe_state(spin: Spin, length: int, k=None, lam=None) -> BetheState:
     one-row call of `build_bethe_states`, which here also takes momenta."""
     if (k is None) == (lam is None):
         raise ValueError("provide exactly one of k or lam")
-    given = np.atleast_1d(np.asarray(k if lam is None else lam, dtype=complex))
-    state = _build_states(spin, length, given[None], "k" if lam is None else "lambda")[0]
+    state, = _build_states(spin, length, [(k, lam)])
     if isinstance(state, ChainError):
         raise state
     return state
 
 
-def _build_states(spin: Spin, length: int, given: np.ndarray, name: str) -> list:
-    """build_bethe_states on the rows of `given`, rapidities if `name` is
-    "lambda" and momenta if it is "k"."""
-    m = given.shape[1]
-
-    def momenta(x):
-        """k, lambda and e^{ik} of one row x or of rows, or the first error of a row."""
-        if not np.isfinite(x).all():
-            raise InputRangeError(f"{name} must be finite, got {x}")
-        # past this |lambda|, e^{ik} - 1 = 2is/(lambda - is) is below U_DEGENERACY_TOL
-        # and the quotient itself can overflow
-        if name == "lambda" and np.max(np.maximum(abs(x.real), abs(x.imag)), initial=0.0) > \
-                spin.s * (2 / U_DEGENERACY_TOL + 1):
-            raise PoleError("momentum with e^{ik} = 1 (descendant direction)")
-        k = lambda_to_k(x, spin) if name == "lambda" else x
-        # |e^{+-ik}| and the plane-wave products of powers up to L are at most
-        # e^{L sum|Im k|}; the norm and the eigen-residual square them, the latter
-        # after a product with E, itself at most ~e^{sum|Im k|}
-        growth = np.max(2 * (length + 1) * np.sum(np.abs(k.imag), axis=-1), initial=0.0)
-        if growth > LOG_MAX:
-            raise InputRangeError(f"2(L+1) sum|Im k| = {growth:.4g} exceeds {LOG_MAX:.4g}: e^{{ik}}, "
-                                  "its powers up to L and their squares are not representable")
-        lam = x if name == "lambda" else k_to_lambda(x, spin)
-        if m > spin.two_s * length:
-            raise InputRangeError(
-                f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
-        return k, lam, _check_momenta(np.exp(1j * k))
-
-    out = [None] * len(given)
-    try:
-        k, lam, u = momenta(given)
-    except ChainError:  # some row fails: each row alone gets its own first error
-        k, lam, u = np.zeros((3,) + given.shape, dtype=complex)
-        for i, row in enumerate(given):
-            try:
-                k[i], lam[i], u[i] = momenta(row)
-            except ChainError as exc:
-                out[i] = exc
-    good = [i for i, state in enumerate(out) if state is None]
-    if not good:  # the sector may not exist
+def _build_states(spin: Spin, length: int, sets: list) -> list:
+    """build_bethe_states on root sets given as (k, lambda) pairs, one of each None."""
+    out = []
+    for k, lam in sets:
+        try:
+            given = np.atleast_1d(np.asarray(k if lam is None else lam, dtype=complex))
+            if not np.isfinite(given).all():
+                raise InputRangeError(f"{'k' if lam is None else 'lambda'} must be finite, got {given}")
+            if lam is not None:
+                # past this |lambda|, e^{ik} - 1 = 2is/(lambda - is) is below U_DEGENERACY_TOL
+                # and the quotient itself can overflow
+                if np.max(np.maximum(abs(given.real), abs(given.imag)), initial=0.0) > \
+                        spin.s * (2 / U_DEGENERACY_TOL + 1):
+                    raise PoleError("momentum with e^{ik} = 1 (descendant direction)")
+                lam = tuple(complex(z) for z in given)
+                k = tuple(np.atleast_1d(lambda_to_k(given, spin))) if lam else ()
+            else:
+                k = tuple(complex(z) for z in given)
+            # |e^{+-ik}| and the plane-wave products of powers up to L are at most
+            # e^{L sum|Im k|}; the norm and the eigen-residual square them, the latter
+            # after a product with E, itself at most ~e^{sum|Im k|}
+            growth = 2 * (length + 1) * np.sum(np.abs(np.imag(k)))
+            if growth > LOG_MAX:
+                raise InputRangeError(f"2(L+1) sum|Im k| = {growth:.4g} exceeds {LOG_MAX:.4g}: e^{{ik}}, "
+                                      "its powers up to L and their squares are not representable")
+            if lam is None:
+                lam = tuple(np.atleast_1d(k_to_lambda(given, spin))) if k else ()
+            m = len(k)
+            if m > spin.two_s * length:
+                raise InputRangeError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
+            basis = hilbert.sector_basis(spin, length, m)
+            u = np.exp(1j * np.asarray(k, dtype=complex))
+            _check_momenta(u)
+            out.append((k, lam, basis, u))
+        except ChainError as exc:
+            out.append(exc)
+    good = [i for i, row in enumerate(out) if not isinstance(row, ChainError)]
+    if not good:
         return out
-    basis = hilbert.sector_basis(spin, length, m)
+    basis = out[good[0]][2]
     # coordinates x_1 <= ... <= x_m of every basis state, one row each
     sites = np.tile(np.arange(1, length + 1), len(basis))
-    coords = np.repeat(sites, basis.occupations.ravel()).reshape(len(basis), m)
-    vec, amp_sum = _plane_wave_sum(coords, u[good], spin)
+    coords = np.repeat(sites, basis.occupations.ravel()).reshape(len(basis), basis.m)
+    vec, amp_sum = _plane_wave_sum(coords, np.array([out[i][3] for i in good]), spin)
     # |x_1,...,x_m> carries the normalization sqrt(C(2s, m_j)) per site
     alpha = np.sqrt([math.comb(spin.two_s, j) for j in range(spin.dim)])
     vec *= np.prod(alpha[basis.occupations], axis=1)
-    # likewise |a(x)| <= sum_P |A_P| e^{L sum|Im k|}, which the norm squares
     scale = amp_sum * np.sqrt(len(basis))
-    limit = np.exp(LOG_MAX / 2 - (length + 1) * np.sum(np.abs(k[good].imag), axis=1))
     for j, i in enumerate(good):
-        if scale[j] > limit[j]:
-            out[i] = InputRangeError(f"sum_P |A_P| sqrt(dim) = {scale[j]:.4g} exceeds e^(LOG_MAX/2 "
-                                     f"- (L+1) sum|Im k|) = {limit[j]:.4g}: the squares of the "
-                                     "amplitudes may not be representable")
+        k, lam = out[i][:2]
+        energy = energy_k(k, spin)
+        # the norm squares a(x) and the eigen-residual E a(x), so ||a|| max(1, |E|) must
+        # stay below sqrt(max float); it is taken on a / max|a| so that it cannot overflow
+        top = np.max(abs(vec[j]), initial=0.0)
+        size = top * np.linalg.norm(vec[j] / top) * max(1.0, abs(energy)) if top else 0.0
+        if not size <= math.exp(LOG_MAX / 2):
+            out[i] = InputRangeError(f"||a|| max(1, |E|) = {size:.4g} overflows squared")
         elif (norm := float(np.linalg.norm(vec[j]))) <= 1e-10 * max(scale[j], 1.0):
             out[i] = DegenerateRootsError("Bethe state has vanishing norm for this root set")
         else:
-            out[i] = BetheState(spin, length, tuple(map(complex, k[i])),
-                                tuple(map(complex, lam[i])), basis, vec[j], energy_k(k[i], spin),
-                                norm)
+            out[i] = BetheState(spin, length, k, lam, basis, vec[j].copy(), energy, norm)
     return out

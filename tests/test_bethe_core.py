@@ -372,6 +372,8 @@ def test_build_bethe_states_equals_one_row_builds():
         [0.2, np.nan, 0.3],
         [1e12, 0.2, 0.4],  # descendant direction
         0.5j + 1e-9 * np.arange(1, 4),  # 2(L+1) sum|Im k| past LOG_MAX
+        # amplitudes whose squares overflow
+        bethe.k_to_lambda(0.3 + 1e-11 * np.arange(3) - 16.8j, spin),
         [0.1, 0.6, -1.2 + 0.4j]]
     batch = bethe.build_bethe_states(spin, length, np.array(rows, dtype=complex))
     kinds = set()
@@ -382,10 +384,12 @@ def test_build_bethe_states_equals_one_row_builds():
             assert type(built) is type(exc) and str(built) == str(exc), lam
             kinds.add(str(exc).split(" ")[0])
             continue
+        # each state owns its vector, so a dropped sibling frees its own
+        assert built.vector.base is None
         assert built.vector.tobytes() == alone.vector.tobytes()
         assert (built.energy, built.norm, built.k, built.lam) == \
             (alone.energy, alone.norm, alone.k, alone.lam)
-    assert kinds == {"coinciding", "Bethe", "rapidity", "lambda", "momentum", "2(L+1)"}
+    assert kinds == {"coinciding", "Bethe", "rapidity", "lambda", "momentum", "2(L+1)", "||a||"}
     assert sum(isinstance(state, bethe.BetheState) for state in batch) == 4
 
 

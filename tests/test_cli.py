@@ -197,10 +197,11 @@ def test_state_with_too_many_roots_is_usage_error():
 
 def test_state_with_unrepresentable_amplitudes_is_usage_error():
     # nearly coinciding momenta far off the real axis: the amplitude factors
-    # (about |u| / |u_j - u_k|) and the plane waves together pass the float range
+    # (about |u| / |u_j - u_k|) and the plane waves together give amplitudes
+    # whose squares, in the norm, pass the float range
     k = "0.3-17.7j,0.30000002-17.7j,0.30000003-17.7j,0.30000005-17.7j"
     code, out, err = run_cli("state", "--spin", "1/2", "-L", "4", "--k", k)
-    assert code == 2 and not out and "sum_P |A_P|" in err
+    assert code == 2 and not out and "||a||" in err
 
 
 def test_state_checks_cap_before_building(monkeypatch):
