@@ -15,7 +15,7 @@ from oracles import (
     random_seed_loop,
 )
 from xxxchain import bethe, hilbert, solver
-from xxxchain.errors import ChainError, InputRangeError, NewtonFailureError
+from xxxchain.errors import ChainError, DegenerateRootsError, InputRangeError, NewtonFailureError
 from xxxchain.hamiltonian import ChainHamiltonian
 from xxxchain.solver import (
     BetheSystem,
@@ -137,6 +137,65 @@ def test_newton_failure_modes():
     with pytest.raises(NewtonFailureError) as err:
         solve_newton(system, np.array([0.003 + 0.5j, 0.003 - 0.5j]), opts, ham)
     assert err.value.reason in ("singular", "stalled", "max-iter")
+
+
+# solve_newton over a whole catalog with one registry: the count of each
+# outcome, and the catalog index and message of the first seed of each reason
+SOLVE_NEWTON_OUTCOMES = {
+    (1, 4, 2): ({"certificate": 1, "degenerate": 12, "duplicate": 5, "max-iter": 4,
+                 "stalled": 183},
+                {"degenerate": (0, "degenerate: roots [0.207107+0.j 0.207107+0.j]"),
+                 "stalled": (3, "stalled: residual 7.437e-01 after 0 iterations"),
+                 "max-iter": (5, "max-iter: residual 1.999e-01 after 80 iterations"),
+                 "duplicate": (39, "duplicate: root set already deflated")}),
+    (1, 6, 3): ({"certificate": 4, "degenerate": 8, "duplicate": 19, "max-iter": 36,
+                 "stalled": 313, "state-degenerate": 2},
+                {"stalled": (0, "stalled: residual 9.449e-01 after 0 iterations"),
+                 "degenerate": (2, "degenerate: roots [ 0.372734+0.j  0.372734+0.j -0.472938+0.j]"),
+                 "state-degenerate": (28, "state-degenerate: Bethe state has vanishing norm "
+                                          "for this root set"),
+                 "duplicate": (43, "duplicate: root set already deflated"),
+                 "max-iter": (57, "max-iter: residual 5.045e-01 after 80 iterations")}),
+    (2, 3, 2): ({"certificate": 3, "degenerate": 32, "duplicate": 44, "stalled": 120},
+                {"degenerate": (0, "degenerate: roots [0.+0.j 0.+0.j]"),
+                 "duplicate": (2, "duplicate: root set already deflated"),
+                 "stalled": (9, "stalled: residual 8.257e-01 after 2 iterations")}),
+}
+
+
+@pytest.mark.parametrize("two_s, length, m", SOLVE_NEWTON_OUTCOMES)
+def test_solve_newton_outcomes_are_pinned(two_s, length, m):
+    system = BetheSystem(Spin(two_s), length, m)
+    opts, ham, registry = SolverOptions(), ChainHamiltonian(system.spin, length), \
+        DeflationRegistry()
+    counts, first = {}, {}
+    for index, seed in enumerate(sector_seeds(system, opts)):
+        try:
+            solve_newton(system, seed, opts, ham, registry)
+            reason = "certificate"
+        except NewtonFailureError as exc:
+            reason = exc.reason
+            first.setdefault(reason, (index, str(exc)))
+            # only a failed state build carries a cause: the error it raised
+            assert isinstance(exc.__cause__, DegenerateRootsError) == \
+                (reason == "state-degenerate")
+        counts[reason] = counts.get(reason, 0) + 1
+    assert (counts, first) == SOLVE_NEWTON_OUTCOMES[two_s, length, m]
+
+
+@pytest.mark.parametrize("two_s, length, seed, message", [
+    (1, 6, [np.nan, 0.1], "nonfinite: iterate left the finite domain"),
+    # the exact pair {+is, -is}: its scaled residual is 0/0, read as 0
+    (1, 6, [0.5j, -0.5j], "singular: roots [0.+0.5j 0.-0.5j]"),
+    # J ~ 1e-310 at the first step: LAPACK's step overflows
+    (1, 6, [1e-310, -1e-310], "singular-jacobian"),
+    (2, 3, [1e60, 0.3], "descendant: roots [3.0072866e+56+0.j 5.7735000e-01+0.j]"),
+])
+def test_solve_newton_failure_messages(two_s, length, seed, message):
+    system = BetheSystem(Spin(two_s), length, 2)
+    with pytest.raises(NewtonFailureError) as err:
+        solve_newton(system, np.array(seed, dtype=complex), SolverOptions())
+    assert str(err.value) == message and err.value.__cause__ is None
 
 
 def test_newton_failure_message_is_formatted_when_read(monkeypatch):
