@@ -281,10 +281,7 @@ def _build_states(spin: Spin, length: int, sets: list) -> list:
                                       "its powers up to L and their squares are not representable")
             if lam is None:
                 lam = tuple(np.atleast_1d(k_to_lambda(given, spin))) if k else ()
-            m = len(k)
-            if m > spin.two_s * length:
-                raise InputRangeError(f"m={m} exceeds the maximal lowering number {spin.two_s * length}")
-            basis = hilbert.sector_basis(spin, length, m)
+            basis = hilbert.sector_basis(spin, length, len(k))
             u = np.exp(1j * np.asarray(k, dtype=complex))
             _check_momenta(u)
             out.append((k, lam, basis, u))

@@ -133,9 +133,9 @@ def cmd_solve(args, parser):
     spin = _spin(args, parser)
     if args.sector is None:
         parser.error("solve requires -m/--sector")
+    ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     hilbert.check_sector(spin, args.length, args.sector)
     opts = _solver_options(args)
-    ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
     certs = solve_sector(spin, args.length, args.sector, opts, ham)
     _emit(args, lambda: {"two_s": spin.two_s, "L": args.length, "m": args.sector,
                          "certificates": [c.to_json() for c in certs]},

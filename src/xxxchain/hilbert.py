@@ -43,17 +43,18 @@ class SectorBasis:
 
 
 def check_sector(spin: Spin, length: int, m: int):
-    """Raise InputRangeError unless m is a sector of the (spin, length) chain."""
+    """Raise InputRangeError unless m is a sector of the (spin, length) chain
+    whose states have 64-bit full-space indices."""
     if not (0 <= m <= spin.two_s * length):
         raise InputRangeError(f"sector m={m} outside 0..{spin.two_s * length}")
+    if spin.dim**length > INT64_MAX:
+        raise InputRangeError(
+            f"full space (2s+1)^L = {spin.dim}^{length} overflows 64-bit state indices")
 
 
 @lru_cache(maxsize=None)
 def sector_basis(spin: Spin, length: int, m: int) -> SectorBasis:
     check_sector(spin, length, m)
-    if spin.dim**length > INT64_MAX:
-        raise InputRangeError(
-            f"full space (2s+1)^L = {spin.dim}^{length} overflows 64-bit state indices")
     # grow the lexicographic prefixes site by site, keeping those whose
     # remaining sites can still complete the total m
     digits = np.arange(spin.dim, dtype=np.int64)

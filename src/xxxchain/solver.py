@@ -248,11 +248,11 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     failed in), per row None (converged) or the reason it failed ("nonfinite"
     for a seed with a nonfinite entry, at iteration 0, "singular-jacobian",
     "stalled" or "max-iter") as an object array, and each row's best scaled
-    residual (NaN for a nonfinite seed).  Each row evaluates exactly the
-    points it would evaluate alone.  Rows run in blocks whose largest work array stays
-    within bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the
-    pair factors of the line search's second pass (2 m (m-1) per damping
-    level)."""
+    residual (NaN for a nonfinite seed).  A row reaches the points it would reach
+    alone (the second search pass evaluates every damping level at once).  Rows
+    run in blocks whose largest work array stays within bethe.BLOCK_ENTRIES: the
+    Jacobian's (2 m^2 entries a row) or the pair factors of the line search's
+    second pass (2 m (m-1) per damping level)."""
     lam = np.asarray(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
@@ -504,41 +504,41 @@ def order_key(energy: complex, lam) -> tuple:
 
 
 def _settle(system: BetheSystem, roots: np.ndarray, iterations, residuals,
-            hamiltonian: ChainHamiltonian, registry: Optional[DeflationRegistry]) -> list:
-    """Deflation, state build and certificate of the Newton roots (rows, in catalog
-    order) that `_reject_reasons` accepts, given their scaled residuals: per row its
-    RootCertificate or NewtonFailureError.  Only root sets new to the registry get a
-    state, all of them from one `build_bethe_states` call."""
-    new = np.ones(len(roots), dtype=bool) if registry is None else registry.add_rows(roots)
-    states = iter(build_bethe_states(system.spin, system.length, roots[new]))
-    out = []
-    for its, res, fresh in zip(iterations, residuals, new):
-        if not fresh:
-            out.append(NewtonFailureError("duplicate", "root set already deflated"))
-            continue
-        state = next(states)
-        if isinstance(state, ChainError):
-            out.append(NewtonFailureError("state-degenerate", str(state)))
-            out[-1].__cause__ = state
-        else:
-            out.append(_certificate(state, float(res), int(its), hamiltonian))
+            hamiltonian: ChainHamiltonian, registry: DeflationRegistry) -> np.ndarray:
+    """Classify, deflate, build and certify converged Newton roots (rows, in catalog
+    order) given their scaled residuals: per row, in an object array, its
+    RootCertificate, its reject reason ("descendant", "degenerate", "singular" or
+    "duplicate") or the ChainError its state build raised.  Only root sets new to
+    the registry get a state, all of them from one `build_bethe_states` call."""
+    out = _reject_reasons(roots, system.spin.s)
+    usable = np.flatnonzero(np.equal(out, None))
+    fresh = registry.add_rows(roots[usable])
+    out[usable[~fresh]] = "duplicate"
+    new = usable[fresh]
+    for row, state in zip(new, build_bethe_states(system.spin, system.length, roots[new])):
+        out[row] = state if isinstance(state, ChainError) else \
+            _certificate(state, float(residuals[row]), int(iterations[row]), hamiltonian)
     return out
 
 
 def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
                  hamiltonian: ChainHamiltonian = None,
                  registry: DeflationRegistry = None) -> RootCertificate:
-    """Run one seed through Newton, classification, deflation and state build."""
+    """The one-row call of `solve_sector`'s path: Newton from one seed, then
+    `_settle`; raises the NewtonFailureError of a row that fails or is rejected."""
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(system.spin, system.length)
-    lam, iterations = newton_solve(system, seed, tol=opts.tol_newton)
-    reason = _reject_reasons(lam[None], system.spin.s)[0]
-    if reason is not None:
-        raise NewtonFailureError(reason, f"roots {np.round(lam, 6)}")
-    outcome = _settle(system, lam[None], [iterations], [scaled_residual(lam, system)],
-                      hamiltonian, registry)[0]
-    if isinstance(outcome, NewtonFailureError):
-        raise outcome
+    roots, iterations, reasons, best = newton_batch(system, _row(seed), opts.tol_newton)
+    if reasons[0] is not None:
+        raise _newton_failure(reasons[0], iterations[0], best[0])
+    outcome = _settle(system, roots, iterations, best, hamiltonian,
+                      DeflationRegistry() if registry is None else registry)[0]
+    if outcome == "duplicate":
+        raise NewtonFailureError(outcome, "root set already deflated")
+    if isinstance(outcome, str):
+        raise NewtonFailureError(outcome, f"roots {np.round(roots[0], 6)}")
+    if isinstance(outcome, ChainError):
+        raise NewtonFailureError("state-degenerate", str(outcome)) from outcome
     return outcome
 
 
@@ -556,12 +556,11 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         opts = SolverOptions()
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(spin, length)
-    if m < 0:
-        raise InputRangeError(f"sector m={m} is negative")
     if 2 * m > spin.two_s * length:
         # past the equator S^+ is injective on the sector: no highest-weight
         # vector exists, so no root set there can be certified
         return []
+    hilbert.check_sector(spin, length, m)
     system = BetheSystem(spin, length, m)
     if m == 0:
         vacuum = build_bethe_state(spin, length, k=())
@@ -570,20 +569,17 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     roots, iterations, reasons, best = newton_batch(system, sector_seeds(system, opts),
                                                     opts.tol_newton)
     converged = np.flatnonzero(np.equal(reasons, None))
-    # a rejected root is dropped without formatting solve_newton's message
-    usable = converged[np.equal(_reject_reasons(roots[converged], spin.s), None)]
-    registry = DeflationRegistry()
-    settled = _settle(system, roots[usable], iterations[usable], best[usable], hamiltonian,
-                      registry)
+    settled = _settle(system, roots[converged], iterations[converged], best[converged],
+                      hamiltonian, DeflationRegistry())
     certs = [c for c in settled if isinstance(c, RootCertificate) and c.certified(opts)]
 
     if spin.two_s == 1 and m == 2 and length % 2 == 0:
+        # the pair is new: rows near +-is are rejected before deflation
         state = singular_pair_state(spin, length)
-        if registry.add(state.lam):
-            bethe_res = scaled_residual(np.array(state.lam), system)
-            cert = _certificate(state, bethe_res, 0, hamiltonian, singular=True)
-            if cert.certified(opts):
-                certs.append(cert)
+        bethe_res = scaled_residual(np.array(state.lam), system)
+        cert = _certificate(state, bethe_res, 0, hamiltonian, singular=True)
+        if cert.certified(opts):
+            certs.append(cert)
 
     certs.sort(key=lambda c: order_key(c.energy, c.lam))
     return certs

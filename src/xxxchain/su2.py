@@ -139,8 +139,6 @@ class SiteSumOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)
-        if vec.shape[0] != self.dim:
-            raise ValueError(f"vector has dimension {vec.shape[0]}, operator needs {self.dim}")
         out = np.zeros(vec.shape, dtype=np.result_type(vec.dtype, self.local.dtype, float))
         for site in range(self.length):
             apply_site_matrix(vec, self.local, self.length, site, self.spin.dim, out)

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import hilbert, su2
-from .bethe import BetheState
+from .bethe import POLE_TOL, BetheState
 from .errors import PoleError, ResourceCapError
 from .hamiltonian import ChainHamiltonian
 from .su2 import Spin, s_minus, s_z
@@ -157,7 +157,7 @@ def aba_phi1(spin: Spin, length: int, lam: complex) -> np.ndarray:
     returned on the m = 1 sector basis.
     """
     lam = complex(lam)
-    if abs(lam - 1j * spin.s) < 1e-10:
+    if abs(lam - 1j * spin.s) < POLE_TOL:
         raise PoleError("monodromy matrix has a pole at lambda = i s")
     top = np.zeros(spin.dim, dtype=complex)
     top[0] = 1.0

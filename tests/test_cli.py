@@ -10,7 +10,7 @@ import numpy as np
 
 import pytest
 
-from xxxchain import cli, suite
+from xxxchain import cli, solver, suite
 from xxxchain.cli import main
 
 
@@ -192,7 +192,7 @@ def test_short_chain_is_usage_error():
 def test_state_with_too_many_roots_is_usage_error():
     code, out, err = run_cli("state", "--spin", "1/2", "-L", "2", "--lambda", "0.1,0.2,0.3")
     assert code == 2
-    assert not out and "m=3 exceeds" in err
+    assert not out and "sector m=3 outside 0..2" in err
 
 
 def test_state_with_unrepresentable_amplitudes_is_usage_error():
@@ -226,6 +226,23 @@ def test_solve_overfilled_sector_is_usage_error():
     assert not out and "sector m=9 outside 0..4" in err
     code, _, ed_err = run_cli("ed", "--spin", "1/2", "-L", "4", "-m", "9")
     assert code == 2 and ed_err == err
+
+
+def test_unindexable_chain_is_usage_error(monkeypatch):
+    # a huge cap lets the (1/2, L=63) chain past the cap check; its 2^63 states
+    # overflow 64-bit indices, which every command reports before any Newton run
+    def unexpected(*args):
+        raise AssertionError("Newton ran on an unindexable chain")
+
+    monkeypatch.setattr(solver, "newton_batch", unexpected)
+    chain, cap = ("--spin", "1/2", "-L", "63"), ("--cap", "99999999999999999999999")
+    for command, *rest in (("solve", "-m", "1"), ("solve", "-m", "31"), ("ed", "-m", "1"),
+                           ("state", "--lambda", "0.3")):
+        code, out, err = run_cli(command, *chain, *cap, *rest)
+        assert code == 2 and not out and "2^63 overflows 64-bit state indices" in err
+    # the default cap is checked first, as in ed, state and chain-h
+    code, out, err = run_cli("solve", *chain, "-m", "1")
+    assert code == 3 and not out and "exceeds cap" in err
 
 
 def test_bad_seed_and_cap_are_usage_errors(monkeypatch):

@@ -151,7 +151,8 @@ SOLVE_NEWTON_OUTCOMES = {
     (1, 6, 3): ({"certificate": 4, "degenerate": 8, "duplicate": 19, "max-iter": 36,
                  "stalled": 313, "state-degenerate": 2},
                 {"stalled": (0, "stalled: residual 9.449e-01 after 0 iterations"),
-                 "degenerate": (2, "degenerate: roots [ 0.372734+0.j  0.372734+0.j -0.472938+0.j]"),
+                 "degenerate": (2, "degenerate: roots "
+                                   "[ 0.372734+0.j  0.372734+0.j -0.472938+0.j]"),
                  "state-degenerate": (28, "state-degenerate: Bethe state has vanishing norm "
                                           "for this root set"),
                  "duplicate": (43, "duplicate: root set already deflated"),
@@ -196,6 +197,16 @@ def test_solve_newton_failure_messages(two_s, length, seed, message):
     with pytest.raises(NewtonFailureError) as err:
         solve_newton(system, np.array(seed, dtype=complex), SolverOptions())
     assert str(err.value) == message and err.value.__cause__ is None
+
+
+def test_solve_sector_builds_no_newton_failure(monkeypatch):
+    # a rejected or duplicate root set is data on the batch path; 44 of
+    # this catalog's converged rows are duplicates
+    def unexpected(*args):
+        raise AssertionError(f"solve_sector built an error {args}")
+
+    monkeypatch.setattr(solver, "NewtonFailureError", unexpected)
+    assert len(solve_sector(Spin(2), 3, 2)) == 3
 
 
 def test_newton_failure_message_is_formatted_when_read(monkeypatch):
@@ -518,6 +529,13 @@ def test_solve_sector_stops_at_the_equator():
             s_plus = hilbert.sector_s_plus(spin, length, m).toarray()
             assert np.linalg.svd(s_plus, compute_uv=False).min() > 0.1
             assert solve_sector(spin, length, m) == []
+
+
+def test_solve_sector_rejects_an_unindexable_chain():
+    # past 2^63 states a sector's full-space indices overflow int64
+    ham = ChainHamiltonian(Spin(1), 63, cap=1 << 64)
+    with pytest.raises(InputRangeError, match="overflows 64-bit state indices"):
+        solve_sector(Spin(1), 63, 1, hamiltonian=ham)
 
 
 def test_solver_options_validation():
