@@ -69,8 +69,6 @@ def _solver_options(args) -> SolverOptions:
         overrides["tol_newton"] = args.tol_newton
     if args.tol_eigen is not None:
         overrides["tol_eigen"] = overrides["tol_hw"] = args.tol_eigen
-    if args.tol_match is not None:
-        overrides["tol_match"] = args.tol_match
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.strategy:
@@ -254,7 +252,7 @@ def _add_common(sub, *flags):
     if "sector" in flags:
         sub.add_argument("-m", "--sector", type=int, default=None)
     if "tolerances" in flags:
-        for name in ("newton", "eigen", "match"):
+        for name in ("newton", "eigen"):
             sub.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
     if "seed" in flags:
         sub.add_argument("--seed", type=_seed, default=None)

@@ -71,6 +71,9 @@ class SolverOptions:
             value = getattr(self, name)
             if not value > 0.0:
                 raise InputRangeError(f"{name} must be positive, got {value!r}")
+        # None would draw the random seeds from OS entropy, so runs would not repeat
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InputRangeError(f"seed must be a non-negative integer, got {self.seed!r}")
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise InputRangeError(
@@ -245,48 +248,52 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
 
     Returns (roots, iterations, reasons, best): the last iterates as an n x m
     array, each row's iteration count (for a failed row, the iteration it
-    failed in), per row None (converged) or the reason it failed ("nonfinite"
-    for a seed with a nonfinite entry, at iteration 0, "singular-jacobian",
-    "stalled" or "max-iter") as an object array, and each row's best scaled
-    residual (NaN for a nonfinite seed).  A row reaches the points it would reach
-    alone (the second search pass evaluates every damping level at once).  Rows
-    run in blocks whose largest work array stays within bethe.BLOCK_ENTRIES: the
-    Jacobian's (2 m^2 entries a row) or the pair factors of the line search's
-    second pass (2 m (m-1) per damping level)."""
-    lam = np.asarray(seeds, dtype=complex)
+    failed in), per row None (converged) or the reason it failed as an object
+    array ("nonfinite" or "descendant" for a seed with an entry nonfinite or
+    beyond DESCENDANT_CUTOFF, at iteration 0, then "singular-jacobian",
+    "stalled" or "max-iter"), and each row's best scaled residual (NaN for such
+    a seed and where the seed's residual is not finite).  A row reaches the
+    points it would reach alone (the second search pass evaluates every damping
+    level at once).  Rows run in blocks whose largest work array stays within
+    bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the pair
+    factors of the line search's second pass (2 m (m-1) per damping level)."""
+    lam = np.array(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
-    n, m = lam.shape
-    roots, iterations = np.empty_like(lam), np.empty(n, dtype=int)
-    reasons, best = np.empty(n, dtype=object), np.empty(n)
-    rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * (len(_DAMPING) - 1) * m * (m - 1)))
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        roots[block], iterations[block], reasons[block], best[block] = _lockstep(
-            system, lam[block], tol, max_iter)
-    return roots, iterations, reasons, best
-
-
-def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int):
-    """newton_batch on one block: one Newton iteration of all unfinished
-    rows at a time.  The line search tries the full step on every row, then
-    all smaller damping levels at once on the rows it did not improve; each
-    row takes the first level that lowers its residual.  A row that has
-    converged ends, and its full step, evaluated in the same first pass, is
-    its polishing step."""
-    lam = seeds.copy()
     n, m = lam.shape
     # written for a row when it ends; a row that never ends keeps max_iter
     iterations = np.full(n, max_iter)
     reasons = np.full(n, None, dtype=object)
+    best = np.full(n, np.nan)
+    rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * (len(_DAMPING) - 1) * m * (m - 1)))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        _lockstep(system, lam[block], iterations[block], reasons[block], best[block],
+                  tol, max_iter)
+    return lam, iterations, reasons, best
+
+
+# a full step can overshoot to where (lambda +- is)^L overflows; the line
+# search's isfinite(r) and the step's finiteness test already turn such values down
+@np.errstate(over="ignore", invalid="ignore")
+def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, max_iter: int):
+    """newton_batch on one block, writing into its rows of lam, iterations,
+    reasons and best: one Newton iteration of all unfinished rows at a time.
+    The line search tries the full step on every row, then all smaller
+    damping levels at once on the rows it did not improve; each row takes the
+    first level that lowers its residual.  A row that has converged ends, and
+    its full step, evaluated in the same first pass, is its polishing step."""
+    m = lam.shape[1]
     # only a seed can be nonfinite: a candidate is accepted only where its
     # scaled residual is finite
     finite = np.isfinite(lam).all(axis=1)
+    far = finite & (np.abs(lam) > DESCENDANT_CUTOFF).any(axis=1)
     iterations[~finite], reasons[~finite] = 0, "nonfinite"
-    active = np.flatnonzero(finite)  # the unfinished rows; a row leaves when it ends
+    iterations[far], reasons[far] = 0, "descendant"
+    active = np.flatnonzero(finite & ~far)  # the unfinished rows; a row leaves when it ends
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
-    f, best = np.empty_like(lam), np.full(n, np.nan)
+    f = np.empty_like(lam)
     f[active], best[active] = _residuals(lam[active], system)
     for it in range(max_iter):
         if not active.size:
@@ -308,22 +315,19 @@ def _lockstep(system: BetheSystem, seeds: np.ndarray, tol: float, max_iter: int)
             limit = best[rows]
             accept = np.isfinite(r) & np.where(polish, r <= limit, r < limit)
             hit = accept.any(axis=0)
-            if hit.any():
-                first = accept[:, hit].argmax(axis=0) * len(rows) + np.flatnonzero(hit)
-                take = rows[hit]
-                lam[take], f[take], best[take] = cand[first], f_cand[first], r.ravel()[first]
+            first = accept[:, hit].argmax(axis=0) * len(rows) + np.flatnonzero(hit)
+            take = rows[hit]
+            lam[take], f[take], best[take] = cand[first], f_cand[first], r.ravel()[first]
             keep = ~hit & ~polish
             search, polish = search[keep], polish[keep]
         # rows end converged, on a singular Jacobian, or stalled (no level improved)
         stay = usable & ~done
         stay[search] = False
-        if not stay.all():
-            iterations[active[~stay]] = it
-            reasons[active[~usable & ~done]] = "singular-jacobian"
-            reasons[active[search]] = "stalled"
-            active = active[stay]
+        iterations[active[~stay]] = it
+        reasons[active[~usable & ~done]] = "singular-jacobian"
+        reasons[active[search]] = "stalled"
+        active = active[stay]
     reasons[active[~(best[active] <= tol)]] = "max-iter"
-    return lam, iterations, reasons, best
 
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -436,10 +440,6 @@ class DeflationRegistry:
 
     def __init__(self):
         self._fingerprints = []  # one per registered set
-
-    def add(self, lam) -> bool:
-        """Register a root set; returns False if it was already present."""
-        return bool(self.add_rows(_row(lam))[0])
 
     def add_rows(self, lam: np.ndarray) -> np.ndarray:
         """Register the rows of an n x m array in order, each against the sets

@@ -220,6 +220,15 @@ def test_state_with_no_roots_is_the_vacuum():
         assert json.loads(out)["energy"] == [0.0, 0.0]
 
 
+def test_solve_at_length_24_raises_no_runtime_warning():
+    # full Newton steps overshoot to where (lambda +- i/2)^24 overflows; the
+    # line search turns those points down without a RuntimeWarning
+    code, out, err = run_cli("solve", "--spin", "1/2", "-L", "24", "-m", "2",
+                             "--cap", "99999999999999")
+    assert code == 0 and not err
+    validate("solve", json.loads(out))
+
+
 def test_solve_overfilled_sector_is_usage_error():
     code, out, err = run_cli("solve", "--spin", "1/2", "-L", "4", "-m", "9")
     assert code == 2
@@ -304,6 +313,7 @@ def test_flags_a_command_does_not_read_are_usage_errors():
         ("local-h", "--spin", "1/2", "-L", "4"),
         ("chain-h", "--spin", "1/2", "-L", "2", "--seed", "4"),
         ("ed", "--spin", "1/2", "-L", "2", "--tol-match", "1e-3"),
+        ("solve", "--spin", "1/2", "-L", "4", "-m", "1", "--tol-match", "1e-3"),
         ("state", "--spin", "1/2", "-L", "4", "--k", "0.3", "-m", "1"),
         ("aba-compare", "--spin", "1/2", "-L", "4", "--count", "2", "--cap", "10"),
     ):

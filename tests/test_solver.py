@@ -190,7 +190,8 @@ def test_solve_newton_outcomes_are_pinned(two_s, length, m):
     (1, 6, [0.5j, -0.5j], "singular: roots [0.+0.5j 0.-0.5j]"),
     # J ~ 1e-310 at the first step: LAPACK's step overflows
     (1, 6, [1e-310, -1e-310], "singular-jacobian"),
-    (2, 3, [1e60, 0.3], "descendant: roots [3.0072866e+56+0.j 5.7735000e-01+0.j]"),
+    # a seed beyond DESCENDANT_CUTOFF ends before Newton evaluates anything
+    (2, 3, [1e60, 0.3], "descendant"),
 ])
 def test_solve_newton_failure_messages(two_s, length, seed, message):
     system = BetheSystem(Spin(two_s), length, 2)
@@ -309,6 +310,19 @@ def test_nan_seed_ends_nonfinite_and_leaves_the_other_rows_alone():
     assert {None, "stalled", "max-iter"} <= set(batch[2])
 
 
+def test_far_seeds_end_as_descendants_before_any_residual():
+    # |lambda|^L of such a seed overflows, so it ends at the seed gate, as
+    # the nonfinite one does, and keeps a NaN best residual
+    system = BetheSystem(Spin(1), 6, 2)
+    seeds = np.array([[1e60, 0.3], [1e100, 0.3], [1e9, 0.3], [0.3, -0.3], [np.nan, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = newton_batch(system, seeds)
+    assert list(batch[2]) == ["descendant"] * 3 + [None, "nonfinite"]
+    assert list(batch[1][[0, 1, 2, 4]]) == [0] * 4 and np.isnan(batch[3][[0, 1, 2, 4]]).all()
+    _same_outcomes(tuple(part[3:4] for part in batch), newton_batch(system, seeds[3:4]))
+
+
 def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
     system = BetheSystem(Spin(2), 4, 2)
     seeds = sector_seeds(system, SolverOptions())
@@ -316,17 +330,20 @@ def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
     blocks = []
     lockstep = solver._lockstep
 
-    def counted(system, seeds, *args):
-        blocks.append(len(seeds))
-        return lockstep(system, seeds, *args)
+    def counted(system, lam, *args):
+        blocks.append(len(lam))
+        lockstep(system, lam, *args)
 
     # three rows of the line search's second pass, the largest work array at m = 2
     levels = len(solver._DAMPING) - 1
     monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 3 * 2 * levels * system.m * (system.m - 1))
     monkeypatch.setattr(solver, "_lockstep", counted)
+    before = seeds.tobytes()
     split = newton_batch(system, seeds)
     assert max(blocks) == 3 and sum(blocks) == len(seeds)
     _same_outcomes(whole, split)
+    # the blocks move newton_batch's own copy of the seeds
+    assert seeds.tobytes() == before and not np.shares_memory(split[0], seeds)
 
 
 @pytest.mark.parametrize("two_s, length, m, strategies", [
@@ -456,12 +473,12 @@ def test_free_momenta_rapidities():
 def test_deflation_registry():
     registry = DeflationRegistry()
     roots = np.array([0.3 + 0.4j, -0.2 - 0.1j])
-    assert registry.add(roots)
-    assert not registry.add(roots)                       # exact duplicate
-    assert not registry.add(roots[::-1])                 # permutation
-    assert not registry.add(np.conj(roots))              # conjugate set
-    assert not registry.add(roots + 1e-9)                # within tolerance
-    assert registry.add(roots + 0.1)                     # genuinely new
+    assert registry.add_rows(roots[None])[0]
+    assert not registry.add_rows(roots[None])[0]                # exact duplicate
+    assert not registry.add_rows(roots[None, ::-1])[0]          # permutation
+    assert not registry.add_rows(np.conj(roots)[None])[0]       # conjugate set
+    assert not registry.add_rows((roots + 1e-9)[None])[0]       # within tolerance
+    assert registry.add_rows((roots + 0.1)[None])[0]            # genuinely new
 
 
 def test_registry_rows_equal_sequential_adds():
@@ -474,10 +491,12 @@ def test_registry_rows_equal_sequential_adds():
         expected = np.poly(row)[1:]
         assert np.abs(fp - expected).max() <= 1e-15 * np.abs(expected).max()
     registry, sequential, oracle = DeflationRegistry(), DeflationRegistry(), PolyRegistry()
-    for reg in (registry, sequential, oracle):
-        assert reg.add(earlier)
+    for reg in (registry, sequential):
+        assert reg.add_rows(earlier[None])[0]
+    assert oracle.add(earlier)
     new = registry.add_rows(rows)
-    assert list(new) == [sequential.add(row) for row in rows] == [oracle.add(row) for row in rows]
+    assert list(new) == [sequential.add_rows(row[None])[0] for row in rows] == \
+        [oracle.add(row) for row in rows]
     assert list(new) == [True, False, True, False, False, False, True, True, False]
 
 
@@ -487,8 +506,8 @@ def test_deflation_registry_batch_follows_catalog_order():
     # within tol of the first: the first seen registers, a row it strikes does not
     rows = np.array([[0.0, 1.0], [0.0, 1.0 + 1.5e-6], [0.0, 1.0 + 3e-6]])
     sequential = DeflationRegistry()
-    assert list(registry.add_rows(rows)) == [sequential.add(row) for row in rows] == \
-        [True, False, True]
+    assert list(registry.add_rows(rows)) == \
+        [sequential.add_rows(row[None])[0] for row in rows] == [True, False, True]
 
 
 def test_solve_sector_known_L4_m2():
@@ -541,12 +560,14 @@ def test_solve_sector_rejects_an_unindexable_chain():
 def test_solver_options_validation():
     for bad in ({"tol_newton": math.nan}, {"tol_newton": math.inf}, {"tol_newton": 0.0},
                 {"tol_match": -1e-7}, {"tol_eigen": math.nan}, {"tol_hw": 0.0},
+                {"seed": -1}, {"seed": 1.5}, {"seed": "7"}, {"seed": None},
                 {"strategies": ("two-string",)},
                 {"strategies": ("free-momenta", "bogus")}):
         with pytest.raises(InputRangeError):
             SolverOptions(**bad)
     assert SolverOptions().strategies == solver.STRATEGIES
     SolverOptions(strategies=("random", "strings"))
+    SolverOptions(seed=np.int64(7))
     with pytest.raises(TypeError):  # the random catalog's size and scale are constants
         SolverOptions(n_random=5)
     SolverOptions(tol_eigen=math.inf, tol_hw=math.inf)  # switches those filters off
