@@ -30,7 +30,7 @@ U_DEGENERACY_TOL = 1e-9
 SIGMA_DENOM_TOL = 1e-13
 # the largest x with e^x finite
 LOG_MAX = float(np.log(np.finfo(float).max))
-# bound on the work arrays of one block: a plane-wave block's terms, a Newton block's widest
+# bound on one block's work arrays: a plane-wave block's terms over rows x sets, a Newton block's widest
 BLOCK_ENTRIES = 1 << 20
 
 
@@ -120,15 +120,21 @@ def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
 
 
 def amplitude_a(x, k, spin: Spin) -> complex:
-    """Wavefunction amplitude a(x_1,...,x_m) = sum_P A_P prod_t u_{Pt}^{x_t}."""
+    """Wavefunction amplitude a(x_1,...,x_m) = sum_P A_P prod_t u_{Pt}^{x_t}; k must be
+    finite with max(|x_t|, 1) sum|Im k| at most LOG_MAX, or the powers u^x overflow."""
     x = tuple(x)
     if any(a > b for a, b in zip(x, x[1:])):
         raise ValueError(f"coordinates must be non-decreasing, got {x}")
-    u = np.exp(1j * np.asarray(k, dtype=complex))
-    if len(x) != len(u):
+    k = np.asarray(k, dtype=complex)
+    if len(x) != len(k):
         raise ValueError("coordinate tuple and momentum list have different lengths")
+    if not np.isfinite(k).all():
+        raise InputRangeError(f"k must be finite, got {k}")
+    if np.max(np.abs(x), initial=1) * np.sum(np.abs(k.imag)) > LOG_MAX:
+        raise InputRangeError(f"max(|x|, 1) sum|Im k| exceeds {LOG_MAX:.4g}: e^{{ikx}} overflows")
+    u = np.exp(1j * k)
     _check_momenta(u)
-    return complex(_plane_wave_sum(np.array([x], dtype=np.intp), u, spin)[0][0])
+    return complex(_plane_wave_sum(np.array([x], dtype=np.intp), u[None], spin)[0][0, 0])
 
 
 def energy_k(k, spin: Spin):
@@ -189,23 +195,19 @@ class BetheState:
 
 
 def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
-    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every row x, ordered or not, of
-    the (..., n, m) integer `coords`, broadcast against the batch of the momenta
-    u[..., :], and sum_P |A_P|.  P_t = p multiplies A_P by prod_{q in S} factor[q, p]
-    over the earlier momenta S in any order, so one partial sum per subset S
-    stands for all m! orderings.  Layer t is evaluated once per run of consecutive
-    (batch entry, row) pairs that share the entry and x_1..x_t, on a sorted table
-    once per distinct prefix, in blocks of rows whose terms, m 2^(m-1) a row, stay
-    within about BLOCK_ENTRIES."""
-    batch, (n, m) = u.shape[:-1], coords.shape[-2:]
+    """a(x) = sum_P A_P prod_t u_{Pt}^{x_t} at every row x, ordered or not, of the
+    (n, m) integer `coords` for each momentum set of the (sets, m) `u`, as (sets, n),
+    and sum_P |A_P| per set.  P_t = p multiplies A_P by prod_{q in S} factor[q, p]
+    over the earlier momenta S in any order, so one partial sum per subset S stands
+    for all m! orderings.  Layer t is evaluated once per run of rows that share
+    x_1..x_t, on a sorted table once per distinct prefix, for all sets of a block of
+    rows x sets whose terms, m 2^(m-1) a row and set, stay within about BLOCK_ENTRIES."""
+    n, m = coords.shape
     lo, hi = int(coords.min(initial=0)), int(coords.max(initial=0))
-    u = u.reshape(math.prod(batch), m)
-    coords = np.broadcast_to(coords, batch + (n, m)).reshape(len(u), n, m)
-    # u_p^x at pos[b, p] + x of upow, for x = lo..hi, as running products from u^lo
+    # upow[b, p, x - lo] = u_p^x for x = lo..hi, as running products from u^lo
     upow = u[:, :, None].repeat(hi - lo + 1, axis=-1)
     upow[..., 0] = u ** lo
-    pos = np.arange(0, upow.size, hi - lo + 1).reshape(u.shape) - lo
-    upow = upow.cumprod(axis=-1).ravel()
+    upow = upow.cumprod(axis=-1)
     factor = _pair_factors(u, spin)
     factor[:, range(m), range(m)] = 1.0
     # coef[b, S, j] = prod_{q in S - p} factor[q, p] for p = members[S, j], by factor[p, p] = 1
@@ -215,26 +217,27 @@ def _plane_wave_sum(coords: np.ndarray, u: np.ndarray, spin: Spin) -> tuple:
     for _, rest, coef in layers:
         amp_sum = (amp_sum[:, rest] * abs(coef)).sum(axis=-1)
     rows = max(1, BLOCK_ENTRIES // max(sum(members.size for members, _, _ in layers), 1))
-    vec = np.empty(len(u) * n, dtype=complex)
-    for start in range(0, vec.size, rows):
-        flat = np.arange(start, min(start + rows, vec.size))
-        owner, cols = flat // n, coords[flat // n, flat % n]
-        # a row opens a run at layer t where its batch entry or x_1..x_t differ from the row before
-        opens = np.ones((len(flat), m + 1), dtype=bool)
-        opens[1:, 0], opens[1:, 1:] = owner[1:] != owner[:-1], cols[1:] != cols[:-1]
+    sets = max(1, rows // max(n, 1))  # a block of all n rows takes as many sets as fit
+    vec = np.empty((len(u), n), dtype=complex)
+    for start in range(0, n, rows):
+        cols = coords[start:start + rows]
+        # a row opens a run at layer t where its x_1..x_t differ from the row before
+        opens = np.ones((len(cols), m + 1), dtype=bool)
+        opens[1:, 0], opens[1:, 1:] = False, cols[1:] != cols[:-1]
         np.logical_or.accumulate(opens, axis=1, out=opens)
-        # f[run, S]: the partial sum of subset S over the run's prefix, 1 per batch entry
-        f = np.ones((np.count_nonzero(opens[:, 0]), 1), dtype=complex)
-        for t, (members, rest, coef) in enumerate(layers, 1):
-            # each run's first row and the run of layer t - 1 it lies in; one member
-            # at a time keeps temporaries a layer wide
-            first = np.flatnonzero(opens[:, t])
-            parent = opens[:, t - 1].cumsum()[first, None] - 1
-            b, x = owner[first], cols[first, t - 1, None]
-            f = sum(f[parent, rest[:, j]] * coef[b, :, j] *
-                    upow[pos[b[:, None], members[:, j]] + x] for j in range(t))
-        vec[start:start + rows] = f[opens[:, -1].cumsum() - 1, 0]
-    return vec.reshape(batch + (n,)), amp_sum[:, 0].reshape(batch)
+        ids = opens.cumsum(axis=0) - 1  # ids[r, t]: the run of layer t that holds row r
+        # per layer t, the run of layer t - 1 that holds each run's first row, and its x_t
+        runs = [(ids[first, t - 1, None], cols[first, t - 1, None] - lo)
+                for t, first in enumerate(map(np.flatnonzero, opens.T[1:]), 1)]
+        for b in range(0, len(u), sets):
+            # f[set, run, S]: the partial sum of subset S over the run's prefix; one
+            # member at a time keeps temporaries a layer wide
+            f = np.ones((1, 1, 1), dtype=complex)
+            for (members, rest, coef), (parent, x) in zip(layers, runs):
+                f = sum(f[:, parent, rest[:, j]] * coef[b:b + sets, None, :, j] *
+                        upow[b:b + sets, members[:, j], x] for j in range(members.shape[1]))
+            vec[b:b + sets, start:start + rows] = f[:, ids[:, -1], 0]
+    return vec, amp_sum[:, 0]
 
 
 def build_bethe_states(spin: Spin, length: int, lam_rows) -> list:

@@ -291,9 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("state", help="build a Bethe state from roots or momenta")
     _add_common(sub, "length", "cap")
     sub.add_argument("--lambda", dest="roots", default=None,
-                     help="comma-separated complex rapidities, e.g. '0.5+0j,-0.5+0j'")
+                     help="comma-separated complex rapidities, e.g. '0.5+0j,-0.5+0j'; "
+                          "a list that starts with '-' needs the = form, --lambda=-0.5,0.5")
     sub.add_argument("--k", dest="momenta", default=None,
-                     help="comma-separated complex momenta")
+                     help="comma-separated complex momenta; a list that starts with '-' "
+                          "needs the = form, --k=-0.3,0.3")
     sub.set_defaults(func=cmd_state)
 
     sub = subs.add_parser("verify", help="run the invariant suite")
@@ -307,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("aba-compare", help="overlap of the monodromy one-magnon state with Psi_1")
     _add_common(sub, "length", "seed")
     sub.add_argument("--lambda", dest="roots", default=None,
-                     help="comma-separated rapidities (default: random sample)")
+                     help="comma-separated rapidities (default: random sample); a list "
+                          "that starts with '-' needs the = form, --lambda=-0.5,0.5")
     sub.add_argument("--count", type=int, default=20)
     sub.set_defaults(func=cmd_aba_compare)
     return parser

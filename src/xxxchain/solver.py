@@ -157,6 +157,8 @@ def _residuals(lam: np.ndarray, system: BetheSystem):
     scale = np.abs(terms[0]) + np.abs(terms[1])
     out = np.zeros(f.shape)
     np.divide(np.abs(f), scale, out=out, where=scale != 0.0)
+    # 0/0 reads 0; an overflowed scale hides the size of F, so it reads NaN
+    out[scale == np.inf] = np.nan
     return f.T, out.max(axis=0)
 
 
@@ -192,8 +194,8 @@ def bethe_residual(lam, system: BetheSystem) -> np.ndarray:
 
 
 def scaled_residual(lam, system: BetheSystem) -> float:
-    """max_j |F_j| / (|t1_j| + |t2_j|); the 0/0 of an exactly-cancelling pair
-    counts as 0, and a NaN term gives NaN.  Relative scaling keeps the
+    """max_j |F_j| / (|t1_j| + |t2_j|); the 0/0 of an exactly-cancelling pair counts as 0,
+    a NaN term or an overflowing |t1_j| + |t2_j| as NaN.  Relative scaling keeps the
     spurious near-zero sheet around the poles from masquerading as converged."""
     return float(_residuals(_row(lam), system)[1][0])
 
@@ -252,7 +254,7 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     array ("nonfinite" or "descendant" for a seed with an entry nonfinite or
     beyond DESCENDANT_CUTOFF, at iteration 0, then "singular-jacobian",
     "stalled" or "max-iter"), and each row's best scaled residual (NaN for such
-    a seed and where the seed's residual is not finite).  A row reaches the
+    a seed and where the seed's residual or its scale is not finite).  A row reaches the
     points it would reach alone (the second search pass evaluates every damping
     level at once).  Rows run in blocks whose largest work array stays within
     bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the pair

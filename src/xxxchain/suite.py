@@ -193,11 +193,12 @@ def coinciding_constraint(seed=0):
         i = rng.integers(m - 1, size=rows.shape)
         x = np.sort(rng.integers(1, 7, size=(len(rows), m)), axis=1)
         x[rows, i + 1] = x[rows, i]
-        # rows x + e_i + e_{i+1}, x + e_i, x + e_{i+1}, x
+        # rows x + e_i + e_{i+1}, x + e_i, x + e_{i+1}, x of sample r at 4r..4r+3 of one table
         coords = np.repeat(x[:, None], 4, axis=1)
         coords[rows, [0, 1], i] += 1
         coords[rows, [0, 2], i + 1] += 1
-        a, amp_sum = bethe._plane_wave_sum(coords, u, spin)
+        a, amp_sum = bethe._plane_wave_sum(coords.reshape(-1, m), u, spin)
+        a = a[rows, 4 * rows + np.arange(4)]  # sample r's momenta at its own four rows
         coef = np.array([1, spin.two_s - 1, -spin.two_s - 1, 1])
         # a plane-wave term of a(x) is at most sum_P |A_P| max_p |u_p|^(x_1+...+x_m):
         # the error is bounded relative to the summed terms, which can cancel

@@ -183,6 +183,18 @@ def test_amplitude_a_requires_sorted_coordinates():
         bethe.amplitude_a((3, 1), [0.2, 0.4], Spin(1))
 
 
+@pytest.mark.parametrize("x, k", [((1,), [np.nan]), ((1,), [np.inf]), ((1,), [-1000j]),
+                                  ((1, 2), [0.3, np.nan]), ((-800,), [1j])])
+def test_amplitude_a_refuses_nonfinite_and_overflowing_momenta(x, k):
+    with pytest.raises(InputRangeError):
+        bethe.amplitude_a(x, k, Spin(1))
+
+
+def test_amplitude_a_at_the_overflow_bound():
+    # max(|x|, 1) sum|Im k| = 700 is below LOG_MAX, and u^x = e^700 is representable
+    assert abs(bethe.amplitude_a((-700,), [1j], Spin(1)) / np.exp(700) - 1) < 1e-12
+
+
 def test_amplitude_a_beyond_the_chain_matches_oracle():
     # the kernel sizes its power table from the coordinates, so x <= 0 and
     # x > L need u^x with negative and large exponents
@@ -310,15 +322,18 @@ def test_build_state_blocks_rows(monkeypatch):
 def test_plane_wave_sum_blocks_batches(monkeypatch):
     spin, m = Spin(2), 4
     rng = np.random.default_rng(5)
-    u = np.exp(1j * (rng.normal(size=(3, m)) + 0.3j * rng.normal(size=(3, m))))
-    coords = rng.integers(-3, 9, size=(3, 40, m))
+    u = np.exp(1j * (rng.normal(size=(5, m)) + 0.3j * rng.normal(size=(5, m))))
+    coords = np.sort(rng.integers(-3, 9, size=(40, m)), axis=1)
+    coords = coords[np.lexsort(coords.T[::-1])]
     vec, amp_sum = bethe._plane_wave_sum(coords, u, spin)
     terms = sum(members.size for members, _ in bethe.subsets_of(m))
-    # two momentum sets a block, then 15 rows a block, some across two sets
+    # the row edge at 15 cuts the run of rows that share x_1
+    assert coords[14, 0] == coords[15, 0]
+    # all 40 rows with two sets a block, the last set alone; then 15 rows of one set a block
     for limit in (2 * 40, 15):
         monkeypatch.setattr(bethe, "BLOCK_ENTRIES", limit * terms)
         blocked, blocked_sum = bethe._plane_wave_sum(coords, u, spin)
-        assert np.max(np.abs(blocked - vec)) <= 1e-14 * np.max(np.abs(vec))
+        assert blocked.tobytes() == vec.tobytes()
         assert np.array_equal(blocked_sum, amp_sum)
 
 
@@ -329,11 +344,11 @@ def test_plane_wave_sum_matches_permutation_oracle():
         spin = SPINS[m % len(SPINS)]
         k = rng.normal(size=m) + 0.3j * rng.normal(size=m)
         coords = rng.integers(-5, 14, size=(6, m))
-        vec, amp_sum = bethe._plane_wave_sum(coords, np.exp(1j * k), spin)
+        vec, amp_sum = bethe._plane_wave_sum(coords, np.exp(1j * k)[None], spin)
         expected = plane_wave_sums(coords.tolist(), k, spin)
-        assert np.max(np.abs(vec - expected)) <= 1e-12 * np.max(np.abs(expected)), m
+        assert np.max(np.abs(vec[0] - expected)) <= 1e-12 * np.max(np.abs(expected)), m
         expected_sum = sum(abs(amp) for _, amp in permutation_amplitudes(k, spin))
-        assert abs(amp_sum - expected_sum) <= 1e-12 * expected_sum, m
+        assert abs(amp_sum[0] - expected_sum) <= 1e-12 * expected_sum, m
 
 
 def test_plane_wave_sum_prefix_runs_are_order_blind(monkeypatch):
@@ -350,9 +365,7 @@ def test_plane_wave_sum_prefix_runs_are_order_blind(monkeypatch):
     vec, amp_sum = bethe._plane_wave_sum(table, np.exp(1j * k), spin)
     order = rng.permutation(len(table))
     repeated = np.sort(rng.choice(len(table), size=2 * len(table)))
-    # the last variant ends on the row it starts with: the two batch entries meet
-    # on rows that agree in every coordinate
-    for rows in (order, repeated, repeated[::-1], np.r_[order, order[0]]):
+    for rows in (order, repeated, repeated[::-1]):
         again, again_sum = bethe._plane_wave_sum(table[rows], np.exp(1j * k), spin)
         assert again.tobytes() == vec[:, rows].tobytes()
         assert again_sum.tobytes() == amp_sum.tobytes()
@@ -397,15 +410,15 @@ def test_build_bethe_states_equals_one_row_builds():
 def test_plane_wave_sum_batch_equals_one_row_calls(m):
     spin = Spin(3)
     rng = np.random.default_rng(m)
-    u = np.exp(1j * (rng.normal(size=(2, 3, m)) + 0.3j * rng.normal(size=(2, 3, m))))
-    coords = rng.integers(-4, 10, size=(2, 3, 5, m))
+    u = np.exp(1j * (rng.normal(size=(6, m)) + 0.3j * rng.normal(size=(6, m))))
+    coords = rng.integers(-4, 10, size=(5, m))
     vec, amp_sum = bethe._plane_wave_sum(coords, u, spin)
-    assert vec.shape == (2, 3, 5) and amp_sum.shape == (2, 3)
-    for b in np.ndindex(2, 3):
+    assert vec.shape == (6, 5) and amp_sum.shape == (6,)
+    for b in range(6):
         for r in range(5):
-            one, one_sum = bethe._plane_wave_sum(coords[b][r:r + 1], u[b], spin)
-            assert abs(vec[b][r] - one[0]) <= 1e-14 * abs(one[0]), (b, r)
-            assert abs(amp_sum[b] - one_sum) <= 1e-14 * one_sum, b
+            one, one_sum = bethe._plane_wave_sum(coords[r:r + 1], u[b:b + 1], spin)
+            assert abs(vec[b, r] - one[0, 0]) <= 1e-14 * abs(one[0, 0]), (b, r)
+            assert abs(amp_sum[b] - one_sum[0]) <= 1e-14 * one_sum[0], b
 
 
 def test_cached_subset_tables_are_read_only():

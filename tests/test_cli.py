@@ -157,6 +157,17 @@ def test_state_from_lambda():
     assert abs(payload["energy"][0] + 6.0) < 1e-8
 
 
+def test_state_list_with_a_leading_minus_takes_the_equals_form():
+    chain = ("state", "--spin", "1/2", "-L", "4")
+    _, out, _ = run_cli(*chain, "--lambda", "0.28867513459,-0.28867513459")
+    code, flipped, _ = run_cli(*chain, "--lambda=-0.28867513459,0.28867513459")
+    assert code == 0
+    assert json.loads(flipped)["energy"] == json.loads(out)["energy"]
+    # a separate value that starts with '-' reads as a flag
+    code, _, err = run_cli(*chain, "--lambda", "-0.28867513459,0.28867513459")
+    assert code == 2 and "expected one argument" in err
+
+
 def test_state_from_momenta_matches_lambda_route():
     _, out_k, _ = run_cli("state", "--spin", "1", "-L", "3", "--k", "2.0943951023931953")
     payload = json.loads(out_k)

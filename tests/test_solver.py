@@ -321,6 +321,15 @@ def test_far_seeds_end_as_descendants_before_any_residual():
     assert list(batch[2]) == ["descendant"] * 3 + [None, "nonfinite"]
     assert list(batch[1][[0, 1, 2, 4]]) == [0] * 4 and np.isnan(batch[3][[0, 1, 2, 4]]).all()
     _same_outcomes(tuple(part[3:4] for part in batch), newton_batch(system, seeds[3:4]))
+    # at L = 40 the terms |t1| + |t2| of the seed 5e7 overflow while F stays finite: it
+    # is no root, so it must not read as converged
+    far = BetheSystem(Spin(1), 40, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lam, iterations, reasons, best = newton_batch(far, [[5e7]])
+    assert reasons[0] == "stalled" and iterations[0] == 0 and np.isnan(best[0])
+    with pytest.raises(NewtonFailureError, match="stalled: residual nan after 0 iterations"):
+        solve_newton(far, [5e7], SolverOptions(), ChainHamiltonian(Spin(1), 40, cap=2**40))
 
 
 def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):

@@ -346,9 +346,19 @@ def test_chain_checks_catch_coupling_between_sectors(monkeypatch):
 
 def test_coinciding_constraint_fails_on_nan(monkeypatch):
     assert suite.coinciding_constraint()[1]
+    plane_wave_sum = bethe._plane_wave_sum
+
+    def nan_elsewhere(coords, u, spin):
+        # NaN where a sample's momenta meet another sample's four rows: none of them is read
+        vec, amp_sum = plane_wave_sum(coords, u, spin)
+        own = np.arange(len(coords)) // 4 == np.arange(len(u))[:, None]
+        return np.where(own, vec, np.nan), amp_sum
+
+    monkeypatch.setattr(bethe, "_plane_wave_sum", nan_elsewhere)
+    assert suite.coinciding_constraint()[1]
 
     def nan_sum(coords, u, spin):
-        return np.full(coords.shape[:-1], np.nan, dtype=complex), np.full(u.shape[:-1], np.nan)
+        return np.full((len(u), len(coords)), np.nan, dtype=complex), np.full(len(u), np.nan)
 
     monkeypatch.setattr(bethe, "_plane_wave_sum", nan_sum)
     name, passed, detail = suite.coinciding_constraint()
