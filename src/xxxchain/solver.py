@@ -115,8 +115,8 @@ class RootCertificate:
 # the sign axis of the factor arrays: entry 0 carries lambda + is and the factors
 # lambda_j - lambda_l - i, entry 1 carries lambda - is and lambda_j - lambda_l + i
 _SHIFTS = np.array([[1j], [-1j]])
-# step damping of the Newton line search, tried in this order: the full step
-# in a first pass, then every smaller level at once
+# step damping of the Newton line search: all levels are evaluated at once,
+# and a row takes the first that lowers its residual
 _DAMPING = (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128)
 
 
@@ -146,6 +146,9 @@ def _factors(lam: np.ndarray, s: float):
     return lam + s * _SHIFTS[..., None], (diff - _SHIFTS[..., None, None]).swapaxes(0, 1)
 
 
+# far out, (lambda +- is)^L overflows and its products meet inf - inf or 0 * inf,
+# so the scaled residual reads NaN; Newton and the one-row helpers share this errstate
+@np.errstate(over="ignore", invalid="ignore")
 def _residuals(lam: np.ndarray, system: BetheSystem):
     """F(lambda) of each row of lam and its scaled maximum, from one pass over
     the terms t1, t2 of F = t1 - t2."""
@@ -154,7 +157,8 @@ def _residuals(lam: np.ndarray, system: BetheSystem):
     if len(pairs):
         terms *= reduce(np.multiply, pairs)
     f = terms[0] - terms[1]
-    scale = np.abs(terms[0]) + np.abs(terms[1])
+    size = np.abs(terms)
+    scale = size[0] + size[1]
     out = np.zeros(f.shape)
     np.divide(np.abs(f), scale, out=out, where=scale != 0.0)
     # 0/0 reads 0; an overflowed scale hides the size of F, so it reads NaN
@@ -162,6 +166,7 @@ def _residuals(lam: np.ndarray, system: BetheSystem):
     return f.T, out.max(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     """Analytic Jacobians dF_j/dlambda_r of the rows of lam, n x m x m."""
     n, m = lam.shape
@@ -255,10 +260,10 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     beyond DESCENDANT_CUTOFF, at iteration 0, then "singular-jacobian",
     "stalled" or "max-iter"), and each row's best scaled residual (NaN for such
     a seed and where the seed's residual or its scale is not finite).  A row reaches the
-    points it would reach alone (the second search pass evaluates every damping
+    points it would reach alone (one line-search pass evaluates every damping
     level at once).  Rows run in blocks whose largest work array stays within
-    bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the pair
-    factors of the line search's second pass (2 m (m-1) per damping level)."""
+    bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the line
+    search's pair factors (2 m (m-1) per damping level, 16 m (m-1) a row)."""
     lam = np.array(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
@@ -267,7 +272,7 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     iterations = np.full(n, max_iter)
     reasons = np.full(n, None, dtype=object)
     best = np.full(n, np.nan)
-    rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * (len(_DAMPING) - 1) * m * (m - 1)))
+    rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * len(_DAMPING) * m * (m - 1)))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         _lockstep(system, lam[block], iterations[block], reasons[block], best[block],
@@ -275,61 +280,53 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     return lam, iterations, reasons, best
 
 
-# a full step can overshoot to where (lambda +- is)^L overflows; the line
-# search's isfinite(r) and the step's finiteness test already turn such values down
+# a nonfinite step makes nonfinite candidates, whose scaled residual reads NaN
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, max_iter: int):
-    """newton_batch on one block, writing into its rows of lam, iterations,
-    reasons and best: one Newton iteration of all unfinished rows at a time.
-    The line search tries the full step on every row, then all smaller
-    damping levels at once on the rows it did not improve; each row takes the
-    first level that lowers its residual.  A row that has converged ends, and
-    its full step, evaluated in the same first pass, is its polishing step."""
-    m = lam.shape[1]
-    # only a seed can be nonfinite: a candidate is accepted only where its
-    # scaled residual is finite
+    """newton_batch on one block, writing each row of lam, iterations, reasons
+    and best once, when the row ends.  The unfinished rows are a compact working
+    set (ids, iterates, residual vectors, best residuals), compressed only in an
+    iteration where a row ends.  The line search evaluates every damping level
+    of every row in one pass; a row takes the first level that lowers its
+    residual, and a converged row polishes: it takes the full step unless that
+    raises its residual, and ends."""
+    # only a seed can be nonfinite: a nonfinite candidate's residual reads NaN
     finite = np.isfinite(lam).all(axis=1)
     far = finite & (np.abs(lam) > DESCENDANT_CUTOFF).any(axis=1)
     iterations[~finite], reasons[~finite] = 0, "nonfinite"
     iterations[far], reasons[far] = 0, "descendant"
-    active = np.flatnonzero(finite & ~far)  # the unfinished rows; a row leaves when it ends
+    ids = np.flatnonzero(finite & ~far)
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
-    f = np.empty_like(lam)
-    f[active], best[active] = _residuals(lam[active], system)
+    x = lam[ids]
+    f, r_best = _residuals(x, system)
+    damps = np.array(_DAMPING)[:, None, None]
     for it in range(max_iter):
-        if not active.size:
+        if not ids.size:
             break
-        step = _newton_steps(_jacobians(lam[active], system), f[active])
-        done = best[active] <= tol
-        usable = np.isfinite(step).all(axis=1)
-        # the line search's rows, as positions in active, and those that polish:
-        # polishing sharpens a converged root well below tol unless it is worse
-        search, polish = np.flatnonzero(usable), done[usable]
-        for damps in map(np.array, (_DAMPING[:1], _DAMPING[1:])):
-            if not search.size:
-                break
-            rows = active[search]
-            # the candidates level by level, each level over all rows
-            cand = (lam[rows] + damps[:, None, None] * step[search]).reshape(-1, m)
-            f_cand, r = _residuals(cand, system)
-            r = r.reshape(len(damps), -1)
-            limit = best[rows]
-            accept = np.isfinite(r) & np.where(polish, r <= limit, r < limit)
-            hit = accept.any(axis=0)
-            first = accept[:, hit].argmax(axis=0) * len(rows) + np.flatnonzero(hit)
-            take = rows[hit]
-            lam[take], f[take], best[take] = cand[first], f_cand[first], r.ravel()[first]
-            keep = ~hit & ~polish
-            search, polish = search[keep], polish[keep]
+        step = _newton_steps(_jacobians(x, system), f)
+        done = r_best <= tol
+        # the candidates level by level, each level over all rows
+        cand = (x + damps * step).reshape(-1, x.shape[1])
+        f_cand, r = _residuals(cand, system)
+        r = r.reshape(len(_DAMPING), -1)
+        accept = r < r_best
+        if done.any():  # a converged row takes only level 1.0, and where r <= best
+            accept[0] |= done & (r[0] == r_best)
+            accept[1:, done] = False
+        hit = accept.any(axis=0)
+        first = accept.argmax(axis=0)[hit] * len(ids) + hit.nonzero()[0]
+        x[hit], f[hit], r_best[hit] = cand[first], f_cand[first], r.ravel()[first]
         # rows end converged, on a singular Jacobian, or stalled (no level improved)
-        stay = usable & ~done
-        stay[search] = False
-        iterations[active[~stay]] = it
-        reasons[active[~usable & ~done]] = "singular-jacobian"
-        reasons[active[search]] = "stalled"
-        active = active[stay]
-    reasons[active[~(best[active] <= tol)]] = "max-iter"
+        end = done | ~hit
+        if end.any():
+            rows = ids[end]
+            lam[rows], best[rows], iterations[rows] = x[end], r_best[end], it
+            reasons[rows] = np.where(done[end], None, np.where(
+                np.isfinite(step[end]).all(axis=1), "stalled", "singular-jacobian"))
+            ids, x, f, r_best = ids[~end], x[~end], f[~end], r_best[~end]
+    lam[ids], best[ids] = x, r_best
+    reasons[ids[~(r_best <= tol)]] = "max-iter"
 
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:

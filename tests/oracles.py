@@ -158,24 +158,33 @@ def _newton_step(lam, f, system):
 
 def newton_loop(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 80):
     """The scalar damped Newton loop that `solver.newton_batch` replaced, one
-    seed at a time; returns (roots, iterations) or raises NewtonFailureError."""
+    seed at a time; returns (roots, iterations, best scaled residual) or raises
+    NewtonFailureError, whose `best` holds the best scaled residual reached."""
     lam = np.atleast_1d(np.asarray(seed, dtype=complex)).copy()
     if lam.size != system.m:
         raise ValueError(f"seed has {lam.size} components, system needs {system.m}")
+
+    def failure(reason, detail=""):
+        exc = NewtonFailureError(reason, detail)
+        exc.best = best
+        return exc
+
     # each accepted point's residual vector comes from the same product pass
     # as its scaled residual and feeds the next Newton step
     f, best = _residual(lam, system)
     for it in range(max_iter):
         if not np.isfinite(lam).all():
-            raise NewtonFailureError("nonfinite", "iterate left the finite domain")
+            raise failure("nonfinite", "iterate left the finite domain")
         step = _newton_step(lam, f, system)
         if best <= tol:
             # one polishing step sharpens the root well below tol
-            if step is not None and _residual(lam + step, system)[1] <= best:
-                lam = lam + step
-            return lam, it
+            if step is not None:
+                polished = _residual(lam + step, system)[1]
+                if polished <= best:
+                    lam, best = lam + step, polished
+            return lam, it, best
         if step is None:
-            raise NewtonFailureError("singular-jacobian")
+            raise failure("singular-jacobian")
         accepted = False
         for damp in (1.0, 0.5, 0.25, 0.125, 1 / 16, 1 / 32, 1 / 64, 1 / 128):
             cand = lam + damp * step
@@ -185,10 +194,10 @@ def newton_loop(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = 8
                 accepted = True
                 break
         if not accepted:
-            raise NewtonFailureError("stalled", f"residual {best:.3e} after {it} iterations")
+            raise failure("stalled", f"residual {best:.3e} after {it} iterations")
     if best <= tol:
-        return lam, max_iter
-    raise NewtonFailureError("max-iter", f"residual {best:.3e} after {max_iter} iterations")
+        return lam, max_iter, best
+    raise failure("max-iter", f"residual {best:.3e} after {max_iter} iterations")
 
 
 def random_seed_loop(rng, n_random: int, m: int, scale: float) -> list:

@@ -254,24 +254,31 @@ def _same_outcomes(a, b):
 def test_newton_batch_matches_scalar_oracle():
     opts = SolverOptions()
     reasons = set()
-    for two_s, length, m in CRITERION6_GRID:
+    # spin 1/2, L=6, m=3 and spin 1, L=3, m=3 add rows that drift toward +-is
+    # for all MAX_ITER iterations
+    for two_s, length, m in [*CRITERION6_GRID, (1, 6, 3), (2, 3, 3)]:
         system = BetheSystem(Spin(two_s), length, m)
         seeds = sector_seeds(system, opts)
         batch = newton_batch(system, seeds, opts.tol_newton, solver.MAX_ITER)
-        for seed, lam, its, failure in zip(seeds, batch[0], batch[1], _messages(batch)):
+        for seed, lam, its, failure, best in zip(seeds, batch[0], batch[1], _messages(batch),
+                                                 batch[3]):
             try:
-                expected, expected_its = newton_loop(system, seed, opts.tol_newton,
-                                                     solver.MAX_ITER)
+                expected, expected_its, expected_best = newton_loop(
+                    system, seed, opts.tol_newton, solver.MAX_ITER)
             except NewtonFailureError as exc:
                 # stalled and max-iter messages carry the iteration count
                 assert failure == (exc.reason, str(exc)), (two_s, length, m, seed)
+                assert np.array_equal(best, exc.best, equal_nan=True), (two_s, length, m, seed)
                 reasons.add(exc.reason)
                 continue
             assert failure is None, (two_s, length, m, seed)
             assert its == expected_its
             # the same points in the same order, polishing step included
             assert np.array_equal(lam, expected), (two_s, length, m, seed)
+            assert best == expected_best, (two_s, length, m, seed)
             reasons.add(None)
+        if (two_s, length, m) in ((1, 6, 3), (2, 3, 3)):
+            assert (batch[1] == solver.MAX_ITER).any()
     assert {None, "stalled", "max-iter"} <= reasons
 
 
@@ -332,6 +339,50 @@ def test_far_seeds_end_as_descendants_before_any_residual():
         solve_newton(far, [5e7], SolverOptions(), ChainHamiltonian(Spin(1), 40, cap=2**40))
 
 
+def test_nonfinite_newton_step_ends_its_row_alone(monkeypatch):
+    # a NaN or infinite step makes every candidate of the row nonfinite, so its scaled
+    # residuals read NaN, no damping level is taken, and the row ends on a singular
+    # Jacobian where it started
+    system = BetheSystem(Spin(1), 6, 2)
+    seeds = sector_seeds(system, SolverOptions())
+    bad = (3, 7)
+    steps, calls = solver._newton_steps, []
+
+    def poisoned(jac, f):
+        out = steps(jac, f)
+        if not calls:
+            out[bad[0], 0], out[bad[1], 1] = np.nan, complex(0.0, np.inf)
+        calls.append(len(jac))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_steps", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = newton_batch(system, seeds)
+    monkeypatch.undo()
+    assert calls[0] == len(seeds)
+    for row in bad:
+        assert batch[1][row] == 0 and batch[2][row] == "singular-jacobian"
+        assert np.array_equal(batch[0][row], seeds[row])
+        assert batch[3][row] == scaled_residual(seeds[row], system)
+    for other in np.flatnonzero(~np.isin(np.arange(len(seeds)), bad)):
+        alone = newton_batch(system, seeds[other:other + 1])
+        _same_outcomes(tuple(part[other:other + 1] for part in batch), alone)
+    assert {None, "stalled", "max-iter"} <= set(batch[2])
+
+
+@pytest.mark.parametrize("length", [40, 400])
+def test_one_row_helpers_raise_no_overflow_warning(length):
+    # the terms (5e7 +- i/2)^40 are finite but their scale |t1| + |t2| overflows;
+    # at L = 400 the power itself does
+    system = BetheSystem(Spin(1), length, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isnan(scaled_residual([5e7], system))
+        bethe_residual([5e7], system)
+        assert jacobian([5e7], system).shape == (1, 1)
+
+
 def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
     system = BetheSystem(Spin(2), 4, 2)
     seeds = sector_seeds(system, SolverOptions())
@@ -343,8 +394,9 @@ def test_newton_batch_split_into_blocks_equals_one_block(monkeypatch):
         blocks.append(len(lam))
         lockstep(system, lam, *args)
 
-    # three rows of the line search's second pass, the largest work array at m = 2
-    levels = len(solver._DAMPING) - 1
+    # three rows of the line search's pair factors over all damping levels, the
+    # largest work array at m = 2
+    levels = len(solver._DAMPING)
     monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 3 * 2 * levels * system.m * (system.m - 1))
     monkeypatch.setattr(solver, "_lockstep", counted)
     before = seeds.tobytes()
@@ -368,8 +420,8 @@ def test_newton_batch_rows_do_not_depend_on_the_batch(monkeypatch, two_s, length
     whole = newton_batch(system, seeds)
     reverse = newton_batch(system, seeds[::-1])
     _same_outcomes(whole, tuple(part[::-1] for part in reverse))
-    # blocks of five rows of the line search's second pass
-    levels = len(solver._DAMPING) - 1
+    # blocks of five rows of the line search's pair factors over all damping levels
+    levels = len(solver._DAMPING)
     monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 5 * 2 * levels * m * (m - 1))
     _same_outcomes(whole, newton_batch(system, seeds))
     assert {None, "stalled"} <= set(whole[2])
@@ -398,7 +450,7 @@ def test_line_search_block_matches_scalar_oracle():
         _same_outcomes(tuple(part[row:row + 1] for part in batch),
                        newton_batch(system, seeds[row:row + 1]))
         try:
-            expected, expected_its = newton_loop(system, seed)
+            expected, expected_its, _ = newton_loop(system, seed)
         except NewtonFailureError as exc:
             assert failure == (exc.reason, str(exc))
             continue
