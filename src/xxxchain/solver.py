@@ -285,11 +285,11 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
 def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, max_iter: int):
     """newton_batch on one block, writing each row of lam, iterations, reasons
     and best once, when the row ends.  The unfinished rows are a compact working
-    set (ids, iterates, residual vectors, best residuals), compressed only in an
-    iteration where a row ends.  The line search evaluates every damping level
-    of every row in one pass; a row takes the first level that lowers its
-    residual, and a converged row polishes: it takes the full step unless that
-    raises its residual, and ends."""
+    set (ids, iterates, residual vectors, best residuals), rebuilt each
+    iteration by one gather from the accepted candidates.  The line search
+    evaluates every damping level of every row in one pass; a row takes the
+    first level that lowers its residual, and a converged row polishes: it
+    takes the full step unless that raises its residual, and ends."""
     # only a seed can be nonfinite: a nonfinite candidate's residual reads NaN
     finite = np.isfinite(lam).all(axis=1)
     far = finite & (np.abs(lam) > DESCENDANT_CUTOFF).any(axis=1)
@@ -314,17 +314,19 @@ def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, m
         if done.any():  # a converged row takes only level 1.0, and where r <= best
             accept[0] |= done & (r[0] == r_best)
             accept[1:, done] = False
-        hit = accept.any(axis=0)
-        first = accept.argmax(axis=0)[hit] * len(ids) + hit.nonzero()[0]
-        x[hit], f[hit], r_best[hit] = cand[first], f_cand[first], r.ravel()[first]
+        hit, r = accept.any(axis=0), r.ravel()
+        pick = accept.argmax(axis=0) * len(ids) + np.arange(len(ids))
         # rows end converged, on a singular Jacobian, or stalled (no level improved)
         end = done | ~hit
         if end.any():
-            rows = ids[end]
-            lam[rows], best[rows], iterations[rows] = x[end], r_best[end], it
+            rows, last = ids[end], pick[end]
+            lam[rows] = np.where(hit[end, None], cand[last], x[end])
+            best[rows], iterations[rows] = np.where(hit[end], r[last], r_best[end]), it
             reasons[rows] = np.where(done[end], None, np.where(
                 np.isfinite(step[end]).all(axis=1), "stalled", "singular-jacobian"))
-            ids, x, f, r_best = ids[~end], x[~end], f[~end], r_best[~end]
+            ids, pick = ids[~end], pick[~end]
+        # the working set is rebuilt from the accepted candidates, one gather an array
+        x, f, r_best = cand[pick], f_cand[pick], r[pick]
     lam[ids], best[ids] = x, r_best
     reasons[ids[~(r_best <= tol)]] = "max-iter"
 
