@@ -146,16 +146,36 @@ def _factors(lam: np.ndarray, s: float):
     return lam + s * _SHIFTS[..., None], (diff - _SHIFTS[..., None, None]).swapaxes(0, 1)
 
 
+def _power(z: np.ndarray, n: int) -> np.ndarray:
+    """z**n for an integer n >= 1 by binary powering of whole arrays: the base
+    is squared, and multiplied into the result at each set bit of n.  This is
+    the scalar loop of `z**n` taken over whole arrays, with the same overflow
+    pattern; the multiply ufunc rounds with FMA, so the last bits may differ
+    from `z**n`, by at most about n ulp.  For n = 1 it returns z itself, so a
+    caller writes into neither."""
+    out = None
+    while True:
+        if n & 1:
+            out = z if out is None else np.multiply(out, z)
+        n >>= 1
+        if not n:
+            return out
+        z = np.multiply(z, z)
+
+
 # far out, (lambda +- is)^L overflows and its products meet inf - inf or 0 * inf,
 # so the scaled residual reads NaN; Newton and the one-row helpers share this errstate
 @np.errstate(over="ignore", invalid="ignore")
 def _residuals(lam: np.ndarray, system: BetheSystem):
     """F(lambda) of each row of lam and its scaled maximum, from one pass over
-    the terms t1, t2 of F = t1 - t2."""
+    the terms t1, t2 of F = t1 - t2.  Each term is (lambda_j +- is)^L by
+    `_power` times the pair product, each an elementwise product of whole
+    arrays with its operands in a fixed order, so a row's bits do not depend
+    on the batch."""
     poles, pairs = _factors(lam, system.spin.s)
-    terms = poles**system.length
+    terms = _power(poles, system.length)
     if len(pairs):
-        terms *= reduce(np.multiply, pairs)
+        terms = np.multiply(terms, reduce(np.multiply, pairs))
     f = terms[0] - terms[1]
     size = np.abs(terms)
     scale = size[0] + size[1]
@@ -168,18 +188,22 @@ def _residuals(lam: np.ndarray, system: BetheSystem):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
-    """Analytic Jacobians dF_j/dlambda_r of the rows of lam, n x m x m."""
+    """Analytic Jacobians dF_j/dlambda_r of the rows of lam, n x m x m, as a
+    transposed view.  (lambda_j +- is)^(L-1) comes from `_power` and ^L from it
+    by one more product; products are elementwise over whole arrays, with
+    their operands in a fixed order, as in `_residuals`."""
     n, m = lam.shape
     s, length = system.spin.s, system.length
     poles, pairs = _factors(lam, s)
-    d_poles = length * poles ** (length - 1)
+    lower = _power(poles, length - 1)
+    d_poles = length * lower
     if m == 1:
         return (d_poles[0] - d_poles[1]).reshape(n, 1, 1)
     # partial[c] = poles^L times the entries before c, then those after c
     prefix = list(accumulate(pairs, np.multiply))
     suffix = list(accumulate(pairs[:0:-1], np.multiply))[::-1]
     partial = np.empty_like(pairs)
-    partial[0] = poles**length
+    np.multiply(lower, poles, out=partial[0])
     for c in range(1, m - 1):
         np.multiply(partial[0], prefix[c - 1], out=partial[c])
     for c in range(m - 2):
@@ -190,7 +214,7 @@ def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     out = np.empty((m, m, n), dtype=complex)
     out[np.arange(m), _pair_columns(m)] = off
     out.reshape(m * m, n)[::m + 1] = d_poles[0] * full[0] - d_poles[1] * full[1] - off.sum(axis=0)
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    return out.transpose(2, 0, 1)
 
 
 def bethe_residual(lam, system: BetheSystem) -> np.ndarray:

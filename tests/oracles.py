@@ -20,7 +20,7 @@ import numpy as np
 
 from xxxchain import bethe, solver
 from xxxchain.errors import NewtonFailureError
-from xxxchain.solver import BetheSystem, bethe_residual, jacobian, scaled_residual
+from xxxchain.solver import BetheSystem, bethe_residual, jacobian
 from xxxchain.hamiltonian import build_beta_table
 from xxxchain.su2 import Spin, s_minus, s_plus
 from xxxchain.suite import LOCAL_SPINS, _check
@@ -141,7 +141,9 @@ def fd_jacobian(lam, system: BetheSystem, rel_step=1e-7):
 
 
 def _residual(lam, system):
-    return bethe_residual(lam, system), scaled_residual(lam, system)
+    """bethe_residual and scaled_residual at lam, from one kernel call."""
+    f, scaled = solver._residuals(solver._row(lam), system)
+    return f[0], float(scaled[0])
 
 
 def _newton_step(lam, f, system):

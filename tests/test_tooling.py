@@ -21,6 +21,7 @@ from test_cli import validate
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "xxxchain"
 RECONCILE_DEMO = ROOT / "scripts" / "reconcile_demo.py"
+OUTPUT_DIGEST = ROOT / "scripts" / "output_digest.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 PERFBENCH_TESTS = ROOT / "perfbench" / "test_perfbench.py"
@@ -54,6 +55,21 @@ def test_reconcile_demo_rows_show_their_own_match(monkeypatch):
         assert (int(m), int(mult)) == (match["m"], match["multiplicity"])
         assert energy == f"{match['energy']:.10f}"
         assert gap == f"{match['max_gap']:.2e}"
+
+
+def test_output_digest_repeats_and_restores_the_solver(monkeypatch):
+    # two runs in one process print the same lines, and the script puts back
+    # the Newton entry points it wraps
+    from xxxchain import solver
+
+    before = solver.newton_batch, solver.solve_sector
+    args = ("--parts", "solve_grid", "--seeds", "0")
+    lines = run_script(OUTPUT_DIGEST, *args, monkeypatch=monkeypatch).splitlines()
+    assert run_script(OUTPUT_DIGEST, *args, monkeypatch=monkeypatch).splitlines() == lines
+    assert (solver.newton_batch, solver.solve_sector) == before
+    # one line per solve_sector call, with the workload's `certified` tally at seed 0
+    assert len(lines) == 15
+    assert sum(int(line.split("certified=")[1].split()[0]) for line in lines) == 74
 
 
 def _package_bindings():
