@@ -89,7 +89,6 @@ def digest_lines(parts, seeds):
     """One digest line per operation of each part at each seed."""
     workloads = _load_workloads()
     newton_batch, solve_sector = solver.newton_batch, solver.solve_sector
-    exact = hashlib.sha256()
 
     def traced_newton(*args, **kwargs):
         roots, iterations, reasons, best = out = newton_batch(*args, **kwargs)
@@ -109,7 +108,7 @@ def digest_lines(parts, seeds):
         for part in parts:
             for seed in seeds:
                 for op in workloads.PARTS[part](seed):
-                    exact = hashlib.sha256()
+                    exact = hashlib.sha256()  # the wrappers above feed this operation's digest
                     result = op.run()
                     exact.update(_exact_result(result))
                     rounded = json.dumps(_rounded(result)).encode()

@@ -147,20 +147,16 @@ def _factors(lam: np.ndarray, s: float):
 
 
 def _power(z: np.ndarray, n: int) -> np.ndarray:
-    """z**n for an integer n >= 1 by binary powering of whole arrays: the base
-    is squared, and multiplied into the result at each set bit of n.  This is
-    the scalar loop of `z**n` taken over whole arrays, with the same overflow
-    pattern; the multiply ufunc rounds with FMA, so the last bits may differ
-    from `z**n`, by at most about n ulp.  For n = 1 it returns z itself, so a
-    caller writes into neither."""
-    out = None
-    while True:
+    """z**n (n >= 1) by binary powering of whole arrays: square the base, and
+    multiply it into the result at each set bit of n.  With FMA rounding it is
+    within 2n ulp of `z**n`, and may stay finite at `z**n`'s overflow edge.
+    For n = 1 it is z itself, so callers never write into it."""
+    out = z if n & 1 else None
+    while n := n >> 1:
+        z = np.multiply(z, z)
         if n & 1:
             out = z if out is None else np.multiply(out, z)
-        n >>= 1
-        if not n:
-            return out
-        z = np.multiply(z, z)
+    return out
 
 
 # far out, (lambda +- is)^L overflows and its products meet inf - inf or 0 * inf,
@@ -168,10 +164,9 @@ def _power(z: np.ndarray, n: int) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _residuals(lam: np.ndarray, system: BetheSystem):
     """F(lambda) of each row of lam and its scaled maximum, from one pass over
-    the terms t1, t2 of F = t1 - t2.  Each term is (lambda_j +- is)^L by
-    `_power` times the pair product, each an elementwise product of whole
-    arrays with its operands in a fixed order, so a row's bits do not depend
-    on the batch."""
+    the terms t1, t2 of F = t1 - t2, each `_power(lambda_j +- is, L)` times the
+    pair product.  Products keep a fixed operand order, `np.multiply(a, b)`
+    and never `a * tmp`, so a row's bits do not depend on the batch."""
     poles, pairs = _factors(lam, system.spin.s)
     terms = _power(poles, system.length)
     if len(pairs):
@@ -189,9 +184,7 @@ def _residuals(lam: np.ndarray, system: BetheSystem):
 @np.errstate(over="ignore", invalid="ignore")
 def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     """Analytic Jacobians dF_j/dlambda_r of the rows of lam, n x m x m, as a
-    transposed view.  (lambda_j +- is)^(L-1) comes from `_power` and ^L from it
-    by one more product; products are elementwise over whole arrays, with
-    their operands in a fixed order, as in `_residuals`."""
+    transposed view; powers come from `_power` and products as in `_residuals`."""
     n, m = lam.shape
     s, length = system.spin.s, system.length
     poles, pairs = _factors(lam, s)
@@ -349,7 +342,6 @@ def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, m
             reasons[rows] = np.where(done[end], None, np.where(
                 np.isfinite(step[end]).all(axis=1), "stalled", "singular-jacobian"))
             ids, pick = ids[~end], pick[~end]
-        # the working set is rebuilt from the accepted candidates, one gather an array
         x, f, r_best = cand[pick], f_cand[pick], r[pick]
     lam[ids], best[ids] = x, r_best
     reasons[ids[~(r_best <= tol)]] = "max-iter"
