@@ -237,14 +237,16 @@ def _reject_reasons(lam: np.ndarray, s: float) -> np.ndarray:
     singular.  A converged row is finite: Newton starts only from finite
     seeds and moves only to points whose scaled residual is finite, which it
     is not where a root is infinite or NaN."""
-    first, second = np.triu_indices(lam.shape[1], 1)
     # the cleared system has a spurious near-zero sheet near +-is; only the
     # exact pair is meaningful there and it is handled in closed form
     near_pole = np.minimum(np.abs(lam - 1j * s), np.abs(lam + 1j * s)).min(axis=1)
-    return np.select([np.abs(lam).max(axis=1) > DESCENDANT_CUTOFF,
-                      (np.abs(lam[:, first] - lam[:, second]) < DEGENERACY_TOL).any(axis=1),
-                      near_pole < SINGULAR_PROXIMITY_TOL],
-                     ["descendant", "degenerate", "singular"], None)
+    degenerate = np.abs(lam[:, None] - lam[:, _pair_columns(lam.shape[1])]) < DEGENERACY_TOL
+    # each reason overwrites those after it in the order of precedence
+    out = np.full(len(lam), None, dtype=object)
+    out[near_pole < SINGULAR_PROXIMITY_TOL] = "singular"
+    out[degenerate.any(axis=(1, 2))] = "degenerate"
+    out[np.abs(lam).max(axis=1) > DESCENDANT_CUTOFF] = "descendant"
+    return out
 
 
 def newton_solve(system: BetheSystem, seed, tol: float = 1e-10, max_iter: int = MAX_ITER):
@@ -267,7 +269,8 @@ def _newton_failure(reason: str, iterations: int, best: float) -> NewtonFailureE
     return NewtonFailureError(reason)
 
 
-def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int = MAX_ITER):
+def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int = MAX_ITER,
+                 settle=None):
     """Damped Newton from every row of an n x m seed array, in lockstep.
 
     Returns (roots, iterations, reasons, best): the last iterates as an n x m
@@ -280,7 +283,11 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     points it would reach alone (one line-search pass evaluates every damping
     level at once).  Rows run in blocks whose largest work array stays within
     bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the line
-    search's pair factors (2 m (m-1) per damping level, 16 m (m-1) a row)."""
+    search's pair factors (2 m (m-1) per damping level, 16 m (m-1) a row).
+    `settle`, if given, takes the roots, iterations and best residuals of the
+    rows that converged in an iteration, in catalog order, block by block.  Once
+    it returns True, newton_batch returns, and only the rows it took hold an
+    outcome; a caller that never stops it gets the same bits as without it."""
     lam = np.array(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
@@ -292,18 +299,19 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * len(_DAMPING) * m * (m - 1)))
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        _lockstep(system, lam[block], iterations[block], reasons[block], best[block],
-                  tol, max_iter)
+        if _lockstep(system, lam[block], iterations[block], reasons[block], best[block],
+                     tol, max_iter, settle):
+            break
     return lam, iterations, reasons, best
 
 
-# a nonfinite step makes nonfinite candidates, whose scaled residual reads NaN
-@np.errstate(over="ignore", invalid="ignore")
-def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, max_iter: int):
+def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, max_iter: int,
+              settle=None) -> bool:
     """newton_batch on one block, writing each row of lam, iterations, reasons
-    and best once, when the row ends.  The unfinished rows are a compact working
-    set (ids, iterates, residual vectors, best residuals), rebuilt each
-    iteration by one gather from the accepted candidates.  The line search
+    and best once, when the row ends, and handing the rows that converged in
+    an iteration to `settle`; True if `settle` stopped it.  The unfinished rows
+    are a compact working set (ids, iterates, residual vectors, best residuals),
+    rebuilt each iteration by one gather from the accepted candidates.  The line search
     evaluates every damping level of every row in one pass; a row takes the
     first level that lowers its residual, and a converged row polishes: it
     takes the full step unless that raises its residual, and ends."""
@@ -324,7 +332,8 @@ def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, m
         step = _newton_steps(_jacobians(x, system), f)
         done = r_best <= tol
         # the candidates level by level, each level over all rows
-        cand = (x + damps * step).reshape(-1, x.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite step reads NaN
+            cand = (x + damps * step).reshape(-1, x.shape[1])
         f_cand, r = _residuals(cand, system)
         r = r.reshape(len(_DAMPING), -1)
         accept = r < r_best
@@ -342,9 +351,14 @@ def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, m
             reasons[rows] = np.where(done[end], None, np.where(
                 np.isfinite(step[end]).all(axis=1), "stalled", "singular-jacobian"))
             ids, pick = ids[~end], pick[~end]
+            conv = rows[done[end]]
+            if settle and conv.size and settle(lam[conv], iterations[conv], best[conv]):
+                return True
         x, f, r_best = cand[pick], f_cand[pick], r[pick]
     lam[ids], best[ids] = x, r_best
     reasons[ids[~(r_best <= tol)]] = "max-iter"
+    conv = ids[r_best <= tol]  # converged in the last iteration, unpolished
+    return bool(settle and conv.size and settle(lam[conv], iterations[conv], best[conv]))
 
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -456,26 +470,28 @@ class DeflationRegistry:
     identifying a set with its complex conjugate."""
 
     def __init__(self):
-        self._fingerprints = []  # one per registered set
+        self._fingerprints = None  # one row per registered set
 
     def add_rows(self, lam: np.ndarray) -> np.ndarray:
         """Register the rows of an n x m array in order, each against the sets
-        registered before it; True where a row was new.  Each registered set
-        strikes every row that matches it or its conjugate, all at once."""
+        registered before it; True where a row was new.  Registered sets strike the
+        rows matching them or their conjugates in one comparison, then each new row."""
         fps = _fingerprints(lam)
-        fresh, new = np.ones(len(fps), dtype=bool), np.zeros(len(fps), dtype=bool)
-        strikers = list(self._fingerprints)
-        while strikers or fresh.any():
-            if strikers:
-                ref = strikers.pop()
-            else:  # the first row no registered set struck
-                row = int(fresh.argmax())
-                new[row], fresh[row], ref = True, False, fps[row]
-                self._fingerprints.append(ref)
-            bound = DEFLATION_TOL * (1.0 + np.abs(ref))
-            for cands in (fps, np.conj(fps)):
-                fresh &= ~(np.abs(cands - ref) <= bound).all(axis=1)
+        known = fps[:0] if self._fingerprints is None else self._fingerprints
+        fresh, new = ~_matches(fps, known).any(axis=1), np.zeros(len(fps), dtype=bool)
+        while fresh.any():
+            row = int(fresh.argmax())
+            new[row] = True
+            fresh &= ~_matches(fps, fps[row, None])[:, 0]
+        self._fingerprints = np.concatenate((known, fps[new]))
         return new
+
+
+def _matches(fps: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Entry [i, j]: fingerprint i matches registered fingerprint j or its conjugate."""
+    bound = DEFLATION_TOL * (1.0 + np.abs(refs))
+    return np.logical_or(*((np.abs(cands[:, None] - refs) <= bound).all(axis=2)
+                           for cands in (fps, np.conj(fps))))
 
 
 def singular_pair_state(spin: Spin, length: int) -> BetheState:
@@ -520,40 +536,45 @@ def order_key(energy: complex, lam) -> tuple:
             tuple(sorted((z.real, z.imag) for z in lam)))
 
 
-def _settle(system: BetheSystem, roots: np.ndarray, iterations, residuals,
-            hamiltonian: ChainHamiltonian, registry: DeflationRegistry) -> np.ndarray:
-    """Classify, deflate, build and certify converged Newton roots (rows, in catalog
-    order) given their scaled residuals: per row, in an object array, its
-    RootCertificate, its reject reason ("descendant", "degenerate", "singular" or
-    "duplicate") or the ChainError its state build raised.  Only root sets new to
-    the registry get a state, all of them from one `build_bethe_states` call."""
+def _deflate(system: BetheSystem, roots: np.ndarray, registry: DeflationRegistry) -> np.ndarray:
+    """Per converged root set, the rows of an n x m array in order, its reject reason
+    ("descendant", "degenerate", "singular" or "duplicate") or None where it is new."""
     out = _reject_reasons(roots, system.spin.s)
     usable = np.flatnonzero(np.equal(out, None))
-    fresh = registry.add_rows(roots[usable])
-    out[usable[~fresh]] = "duplicate"
-    new = usable[fresh]
-    for row, state in zip(new, build_bethe_states(system.spin, system.length, roots[new])):
-        out[row] = state if isinstance(state, ChainError) else \
-            _certificate(state, float(residuals[row]), int(iterations[row]), hamiltonian)
+    if usable.size:
+        out[usable[~registry.add_rows(roots[usable])]] = "duplicate"
     return out
+
+
+def _certify(system: BetheSystem, roots, iterations, residuals, hamiltonian) -> list:
+    """Per new root set, its RootCertificate or the ChainError its state build raised."""
+    states = build_bethe_states(system.spin, system.length, roots)  # one kernel call
+    return [s if isinstance(s, ChainError) else _certificate(s, float(r), int(i), hamiltonian)
+            for s, i, r in zip(states, iterations, residuals)]
+
+
+def _verified(cert: RootCertificate) -> bool:
+    """Whether a certificate shows a highest-weight eigenvector by the default bounds."""
+    return cert.eigen_residual <= SolverOptions.tol_eigen and \
+        cert.hw_residual <= SolverOptions.tol_hw
 
 
 def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
                  hamiltonian: ChainHamiltonian = None,
                  registry: DeflationRegistry = None) -> RootCertificate:
-    """The one-row call of `solve_sector`'s path: Newton from one seed, then
-    `_settle`; raises the NewtonFailureError of a row that fails or is rejected."""
+    """The one-row call of `solve_sector`'s path: Newton from one seed, `_deflate`
+    and `_certify`; raises the NewtonFailureError of a row that fails or is rejected."""
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(system.spin, system.length)
     roots, iterations, reasons, best = newton_batch(system, _row(seed), opts.tol_newton)
     if reasons[0] is not None:
         raise _newton_failure(reasons[0], iterations[0], best[0])
-    outcome = _settle(system, roots, iterations, best, hamiltonian,
-                      DeflationRegistry() if registry is None else registry)[0]
+    outcome = _deflate(system, roots, DeflationRegistry() if registry is None else registry)[0]
     if outcome == "duplicate":
         raise NewtonFailureError(outcome, "root set already deflated")
     if isinstance(outcome, str):
         raise NewtonFailureError(outcome, f"roots {np.round(roots[0], 6)}")
+    outcome, = _certify(system, roots, iterations, best, hamiltonian)
     if isinstance(outcome, ChainError):
         raise NewtonFailureError("state-degenerate", str(outcome)) from outcome
     return outcome
@@ -563,9 +584,13 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
                  hamiltonian: ChainHamiltonian = None) -> list:
     """All distinct certified root sets the seed catalog reaches for one sector.
 
-    Newton runs on the whole catalog at once (`newton_batch`); the roots are
-    then classified and deflated as arrays in catalog order, so the first
-    seed to reach a root set registers it.  Root sets are returned sorted by
+    Newton runs on the whole catalog at once (`newton_batch`), and converged
+    rows are deflated in order of convergence, ties in catalog order, so the
+    first row to converge to a root set registers it.  Sector m holds
+    N_hw(m) = dim(m) - dim(m-1) highest-weight states, and distinct root sets
+    give orthogonal eigenvectors: Newton stops once N_hw(m) sets, the spin-1/2
+    singular pair included, have eigen and hw residuals within the default
+    1e-8, whatever filters `opts` set.  Root sets are returned sorted by
     `order_key`; each carries its Bethe, eigenvector and highest-weight
     residuals.  Sets failing the certification thresholds are dropped.
     """
@@ -583,20 +608,35 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         vacuum = build_bethe_state(spin, length, k=())
         return [_certificate(vacuum, 0.0, 0, hamiltonian)]
 
-    roots, iterations, reasons, best = newton_batch(system, sector_seeds(system, opts),
-                                                    opts.tol_newton)
-    converged = np.flatnonzero(np.equal(reasons, None))
-    settled = _settle(system, roots[converged], iterations[converged], best[converged],
-                      hamiltonian, DeflationRegistry())
-    certs = [c for c in settled if isinstance(c, RootCertificate) and c.certified(opts)]
-
+    certs = []
     if spin.two_s == 1 and m == 2 and length % 2 == 0:
         # the pair is new: rows near +-is are rejected before deflation
         state = singular_pair_state(spin, length)
-        bethe_res = scaled_residual(np.array(state.lam), system)
-        cert = _certificate(state, bethe_res, 0, hamiltonian, singular=True)
-        if cert.certified(opts):
-            certs.append(cert)
+        certs.append(_certificate(state, scaled_residual(np.array(state.lam), system), 0,
+                                  hamiltonian, singular=True))
+    dims = [len(hilbert.sector_basis(spin, length, k)) for k in (m - 1, m)]
+    registry = DeflationRegistry()
+    held, new = (np.empty((0, m), dtype=complex), np.empty(0, dtype=int), np.empty(0)), 0
 
+    def settle(*rows, need=dims[1] - dims[0]):
+        """Hold converged rows (roots, iterations, best residuals), the first `new`
+        of them new root sets; deflate, then certify, only once those held could
+        bring the verified certificates to `need`.  True once they have."""
+        nonlocal held, new
+        held = tuple(map(np.concatenate, zip(held, rows)))
+        verified = sum(map(_verified, certs))
+        if verified + len(held[0]) >= need:
+            fresh = np.equal(_deflate(system, held[0][new:], registry), None)
+            held = tuple(np.concatenate((a[:new], a[new:][fresh])) for a in held)
+            new = len(held[0])
+        if verified + new >= need:
+            certs.extend(c for c in _certify(system, *held, hamiltonian)
+                         if isinstance(c, RootCertificate))
+            held, new = tuple(a[:0] for a in held), 0
+        return sum(map(_verified, certs)) >= need
+
+    newton_batch(system, sector_seeds(system, opts), opts.tol_newton, settle=settle)
+    settle(*(a[:0] for a in held), need=0)
+    certs = [c for c in certs if c.certified(opts)]
     certs.sort(key=lambda c: order_key(c.energy, c.lam))
     return certs

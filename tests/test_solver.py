@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import warnings
@@ -14,6 +15,7 @@ from oracles import (
     newton_loop,
     random_seed_loop,
 )
+from test_verification import RECONCILE_COMPLETENESS
 from xxxchain import bethe, hilbert, solver
 from xxxchain.errors import ChainError, DegenerateRootsError, InputRangeError, NewtonFailureError
 from xxxchain.hamiltonian import ChainHamiltonian
@@ -586,6 +588,18 @@ def test_registry_rows_equal_sequential_adds():
     assert list(new) == [True, False, True, False, False, False, True, True, False]
 
 
+def test_registry_rows_over_several_calls_equal_one_call():
+    base = np.array([0.3 + 0.4j, -0.2 - 0.1j, 1.1 + 0.0j])
+    rows = np.array([base, base + 0.5, np.conj(base), base[::-1], np.conj(base + 0.5),
+                     base + 1e-9, base + 0.1, np.conj(base + 0.1)[::-1], base - 0.2])
+    whole = DeflationRegistry().add_rows(rows)
+    assert list(whole) == [True, True, False, False, False, False, True, False, True]
+    for cuts in ((1, 2, 3, 4, 5, 6, 7, 8), (2, 5), (0, 4, 4), (3, 7, 9)):
+        registry = DeflationRegistry()
+        flags = np.concatenate([registry.add_rows(part) for part in np.split(rows, cuts)])
+        assert list(flags) == list(whole), cuts
+
+
 def test_deflation_registry_batch_follows_catalog_order():
     registry = DeflationRegistry()
     # the second row is within tol of the first and of the third, which is not
@@ -718,17 +732,48 @@ def test_free_momenta_l10_is_pinned():
         assert np.allclose(energies, expected, rtol=0.0, atol=1e-9), m
 
 
+def _sector_dimension(spin, length, m):
+    """Number of occupation tuples (m_1, ..., m_L), 0 <= m_j <= 2s, summing to m."""
+    return sum(sum(occ) == m for occ in itertools.product(range(spin.dim), repeat=length))
+
+
+def _highest_weights(spin, length, m):
+    """N_hw(m): the number of highest-weight states in sector m (none past the equator)."""
+    return max(0, _sector_dimension(spin, length, m) - _sector_dimension(spin, length, m - 1))
+
+
+def _verified(cert):
+    return cert.eigen_residual <= 1e-8 and cert.hw_residual <= 1e-8
+
+
 def _settled_seed_by_seed(spin, length, m, opts, ham):
-    """Certified root sets from solve_newton, seed by seed in catalog order,
-    with one registry, sorted as solve_sector sorts them."""
+    """Certified root sets from solve_newton, seed by seed with one registry in
+    order of convergence (Newton iterations, then catalog index), up to the
+    iteration group that brings the verified sets, the singular pair's
+    included, to N_hw(m); sorted as solve_sector sorts them."""
     system, registry, certs = BetheSystem(spin, length, m), DeflationRegistry(), []
-    for seed in sector_seeds(system, opts):
+    seeds = sector_seeds(system, opts)
+    order = []
+    for index, seed in enumerate(seeds):
         try:
-            cert = solve_newton(system, seed, opts, ham, registry)
+            order.append((newton_solve(system, seed, opts.tol_newton)[1], index))
         except NewtonFailureError:
             continue
-        if cert.certified(opts):
-            certs.append(cert)
+    verified, need = 0, _highest_weights(spin, length, m)
+    if spin.two_s == 1 and m == 2 and length % 2 == 0:
+        state = singular_pair_state(spin, length)
+        verified = eigen_residual(state, ham) <= 1e-8 and highest_weight_residual(state) <= 1e-8
+    for _, group in itertools.groupby(sorted(order), key=lambda pair: pair[0]):
+        for _, index in group:
+            try:
+                cert = solve_newton(system, seeds[index], opts, ham, registry)
+            except NewtonFailureError:
+                continue
+            verified += _verified(cert)
+            if cert.certified(opts):
+                certs.append(cert)
+        if verified >= need:
+            break
     return sorted(certs, key=lambda c: order_key(c.energy, c.lam))
 
 
@@ -748,6 +793,85 @@ def test_solve_sector_settles_as_solve_newton_seed_by_seed(spin, length, m, stra
                  c.hw_residual, c.iterations) for c in certs]
 
     assert bits(batch) == bits(single)
+
+
+def test_no_sector_certifies_more_than_its_highest_weights():
+    # distinct root sets give orthogonal highest-weight eigenvectors, verified or not
+    sectors = {*CRITERION6_GRID, *((two_s, length, m) for two_s, length in RECONCILE_COMPLETENESS
+                                   for m in range(1, two_s * length // 2 + 1))}
+    hams = {}
+    for opts in (SolverOptions(), SolverOptions(tol_eigen=np.inf, tol_hw=np.inf)):
+        for two_s, length, m in sorted(sectors):
+            spin = Spin(two_s)
+            ham = hams.setdefault((two_s, length), ChainHamiltonian(spin, length))
+            certs = solve_sector(spin, length, m, opts, ham)
+            assert len(certs) <= _highest_weights(spin, length, m), (two_s, length, m)
+
+
+def test_complete_sector_stops_newton(monkeypatch):
+    # spin 1/2, L=4, m=2 holds N_hw = 2 states, the singular pair among them;
+    # Newton stops once the other is certified instead of running 80 iterations
+    calls = []
+    steps = solver._newton_steps
+
+    def counted(jac, f):
+        calls.append(len(jac))
+        return steps(jac, f)
+
+    monkeypatch.setattr(solver, "_newton_steps", counted)
+    certs = solve_sector(Spin(1), 4, 2, SolverOptions(tol_eigen=np.inf, tol_hw=np.inf))
+    assert len(calls) <= 10
+    assert np.allclose(sorted(c.energy.real for c in certs), CRITERION6_GRID[1, 4, 2],
+                       rtol=0.0, atol=1e-9)
+
+
+def test_unverified_root_set_does_not_count(monkeypatch):
+    # spin 3/2, L=3, m=2 reaches 2 of its N_hw = 3 states, and the double root
+    # Q = z^2, whose state misses the 1e-8 bounds; with the state filters off
+    # solve_sector returns it, but it does not count, so Newton runs to the end
+    spin, length, m = Spin(3), 3, 2
+    batch, stops = solver.newton_batch, []
+
+    def spy(system, seeds, tol, max_iter=solver.MAX_ITER, settle=None):
+        def watched(*rows):
+            stops.append(settle(*rows))
+            return stops[-1]
+
+        out = batch(system, seeds, tol, max_iter, settle=watched)
+        _same_outcomes(out, batch(system, seeds, tol, max_iter))
+        return out
+
+    monkeypatch.setattr(solver, "newton_batch", spy)
+    certs = solve_sector(spin, length, m, SolverOptions(tol_eigen=np.inf, tol_hw=np.inf))
+    assert stops and not any(stops)
+    assert len(certs) == _highest_weights(spin, length, m) == 3
+    assert [_verified(c) for c in certs].count(False) == 1
+
+
+# at max_iter = 5, eight rows reach the tolerance in the last iteration and
+# end unpolished, handed over after the loop
+@pytest.mark.parametrize("max_iter", [solver.MAX_ITER, 5])
+def test_newton_batch_hands_each_converged_row_to_settle_once(max_iter):
+    system = BetheSystem(Spin(2), 4, 2)
+    seeds = sector_seeds(system, SolverOptions())
+    whole = newton_batch(system, seeds, max_iter=max_iter)
+    taken = []
+
+    def settle(roots, iterations, best):
+        taken.extend(zip(roots.tolist(), iterations.tolist(), best.tolist()))
+        return False
+
+    _same_outcomes(whole, newton_batch(system, seeds, max_iter=max_iter, settle=settle))
+    converged = np.flatnonzero(np.equal(whole[2], None))
+    assert (max_iter == 5) == (whole[1][converged] == max_iter).any()
+    # in order of convergence, ties in catalog order
+    order = converged[np.argsort(whole[1][converged], kind="stable")]
+    assert taken == [(whole[0][k].tolist(), whole[1][k], whole[3][k]) for k in order]
+    # a settle that stops at once sees the first iteration's rows only
+    first = []
+    newton_batch(system, seeds, max_iter=max_iter,
+                 settle=lambda roots, *rest: first.append(len(roots)) or True)
+    assert first == [np.count_nonzero(whole[1][converged] == whole[1][order[0]])]
 
 
 def test_solve_sector_builds_its_states_in_one_kernel_call(monkeypatch):
