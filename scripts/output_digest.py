@@ -3,7 +3,7 @@
 Runs the operations of `perfbench/workloads.py` (imported, never changed)
 for the given parts and seeds and prints one line per operation:
 
-    PART SEED LABEL exact=SHA certified=N rounded=SHA
+    PART SEED LABEL exact=SHA certified=N rounded=SHA regular=SHA
 
 `exact` is a SHA-256 over the bytes of every `newton_batch` return (roots,
 iterations, reasons, best residuals) and every certificate (roots, the three
@@ -11,9 +11,12 @@ residuals, energy, iterations, Bethe vector) the operation made, and of its
 own result.  `rounded` is a SHA-256 over what the operation certifies,
 rounded: root sets to 7 digits and energies to 9 (a reconcile adds its
 matched and unmatched levels, `verify` its pass flags); `certified` is the
-workload's tally.  Two trees that give the same Newton bits give the same
-`exact` digests; two that certify the same root sets give the same `rounded`
-ones.  Run it from each tree's sources, e.g.
+workload's tally.  `regular` is a SHA-256 over the exact bytes of the
+certificates that are not singular, in the order `solve_sector` returns them.
+Two trees that give the same Newton bits give the same `exact` digests; two
+that certify the same root sets give the same `rounded` ones; a tree that adds
+singular sets and leaves every regular certificate as it was gives the same
+`regular` ones.  Run it from each tree's sources, e.g.
 
     PYTHONPATH=src python scripts/output_digest.py --parts solve_grid reconcile --seeds 0-11
 """
@@ -100,6 +103,8 @@ def digest_lines(parts, seeds):
         certs = solve_sector(*args, **kwargs)
         for cert in certs:
             exact.update(_certificate_bytes(cert))
+            if not cert.singular:
+                regular.update(_certificate_bytes(cert))
         return certs
 
     lines = []
@@ -108,13 +113,15 @@ def digest_lines(parts, seeds):
         for part in parts:
             for seed in seeds:
                 for op in workloads.PARTS[part](seed):
-                    exact = hashlib.sha256()  # the wrappers above feed this operation's digest
+                    # the wrappers above feed this operation's digests
+                    exact, regular = hashlib.sha256(), hashlib.sha256()
                     result = op.run()
                     exact.update(_exact_result(result))
                     rounded = json.dumps(_rounded(result)).encode()
                     lines.append(f"{part} {seed} {op.label} exact={exact.hexdigest()} "
                                  f"certified={op.tally(result)['certified']} "
-                                 f"rounded={hashlib.sha256(rounded).hexdigest()}")
+                                 f"rounded={hashlib.sha256(rounded).hexdigest()} "
+                                 f"regular={regular.hexdigest()}")
     finally:
         solver.newton_batch, solver.solve_sector = newton_batch, solve_sector
     return lines

@@ -119,24 +119,6 @@ def _pair_factors(u: np.ndarray, spin: Spin) -> np.ndarray:
     return 1.0 - (u - 1.0)[..., :, None] * (u - 1.0)[..., None, :] / (spin.two_s * diff)
 
 
-def amplitude_a(x, k, spin: Spin) -> complex:
-    """Wavefunction amplitude a(x_1,...,x_m) = sum_P A_P prod_t u_{Pt}^{x_t}; k must be
-    finite with max(|x_t|, 1) sum|Im k| at most LOG_MAX, or the powers u^x overflow."""
-    x = tuple(x)
-    if any(a > b for a, b in zip(x, x[1:])):
-        raise ValueError(f"coordinates must be non-decreasing, got {x}")
-    k = np.asarray(k, dtype=complex)
-    if len(x) != len(k):
-        raise ValueError("coordinate tuple and momentum list have different lengths")
-    if not np.isfinite(k).all():
-        raise InputRangeError(f"k must be finite, got {k}")
-    if np.max(np.abs(x), initial=1) * np.sum(np.abs(k.imag)) > LOG_MAX:
-        raise InputRangeError(f"max(|x|, 1) sum|Im k| exceeds {LOG_MAX:.4g}: e^{{ikx}} overflows")
-    u = np.exp(1j * k)
-    _check_momenta(u)
-    return complex(_plane_wave_sum(np.array([x], dtype=np.intp), u[None], spin)[0][0, 0])
-
-
 def energy_k(k, spin: Spin):
     """E = -(1/2s) sum_j (2 - e^{ik_j} - e^{-ik_j}), summed over the last axis."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))

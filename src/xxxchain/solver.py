@@ -7,11 +7,11 @@ The residual is the polynomial-cleared form
 
 whose roots away from the poles +-is coincide with the k-form quantization
 conditions carrying the exponent L.  Root sets approaching +-is are treated
-separately: around the exact pair {+is, -is} the cleared system vanishes to
-high order along a whole curve, so Newton iterates landing there are never
-accepted at face value.  For spin 1/2, m = 2 and even L the exact pair is a
-genuine solution whose state is the alternating nearest-neighbour bound
-state, built in closed form below.
+separately: around an exact string the cleared system vanishes to high order
+along a whole curve, so Newton iterates landing there are never accepted at
+face value.  A sector with m >= 2s + 1 instead takes the exact string
+{is, i(s-1), ..., -is} with n = m - 2s - 1 further roots, which solve the
+reduced equations: (l_j +- is)^L becomes (l_j +- is)^(L-1) (l_j -+ i(s+1)).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import ClassVar, Optional
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
-from . import bethe, hilbert
+from . import bethe, hilbert, su2
 from .bethe import BetheState, build_bethe_state, build_bethe_states
 from .errors import ChainError, InputRangeError, NewtonFailureError
 from .hamiltonian import ChainHamiltonian
@@ -41,13 +41,20 @@ MAX_ITER = 80
 STRATEGIES = ("free-momenta", "strings", "random")
 # the random strategy draws n_random seeds at each multiple of random_scale
 RANDOM_SCALE_SWEEP = (0.5, 1.0, 2.5)
+# a string state's shifted solve grows its level E by 1/STRING_SHIFT; a singular value
+# above STRING_SHIFT^(-1/2) counts as a direction at E
+STRING_SHIFT = 1e-9
 
 
 @dataclass(frozen=True)
 class BetheSystem:
+    """The Bethe equations of m roots on a chain of `length` sites; with `string`,
+    the reduced equations of m roots beside the exact string {is, i(s-1), ..., -is}."""
+
     spin: Spin
     length: int
     m: int
+    string: bool = False
 
 
 @dataclass
@@ -134,16 +141,19 @@ def _row(lam) -> np.ndarray:
     return np.atleast_1d(np.asarray(lam, dtype=complex)).reshape(1, -1)
 
 
-def _factors(lam: np.ndarray, s: float):
+def _factors(lam: np.ndarray, system: BetheSystem):
     """For root sets as the rows of an n x m array, held on the last axis:
-    (lambda_j +- is) as a 2 x m x n array, and the pair factors
+    (lambda_j +- is) as a 2 x m x n array; with `system.string` the factors
+    lambda_j -+ i(s+1) likewise, else None; and the pair factors
     lambda_j - lambda_l -+ i as an (m-1) x 2 x m x n array whose entry c
     holds the c-th l != j in ascending order.  A product over l multiplies
     whole entries elementwise, left to right, so a row's bits depend neither
     on the batch size nor on its place in the batch."""
+    s = system.spin.s
     lam = np.ascontiguousarray(lam.T)
     diff = lam - lam[_pair_columns(len(lam))]
-    return lam + s * _SHIFTS[..., None], (diff - _SHIFTS[..., None, None]).swapaxes(0, 1)
+    string = lam - (s + 1) * _SHIFTS[..., None] if system.string else None
+    return lam + s * _SHIFTS[..., None], string, (diff - _SHIFTS[..., None, None]).swapaxes(0, 1)
 
 
 def _power(z: np.ndarray, n: int) -> np.ndarray:
@@ -165,10 +175,14 @@ def _power(z: np.ndarray, n: int) -> np.ndarray:
 def _residuals(lam: np.ndarray, system: BetheSystem):
     """F(lambda) of each row of lam and its scaled maximum, from one pass over
     the terms t1, t2 of F = t1 - t2, each `_power(lambda_j +- is, L)` times the
-    pair product.  Products keep a fixed operand order, `np.multiply(a, b)`
-    and never `a * tmp`, so a row's bits do not depend on the batch."""
-    poles, pairs = _factors(lam, system.spin.s)
-    terms = _power(poles, system.length)
+    pair product; with `system.string`, `_power(lambda_j +- is, L-1)` times
+    lambda_j -+ i(s+1) instead.  Products keep a fixed operand order,
+    `np.multiply(a, b)` and never `a * tmp`, so a row's bits do not depend on the batch."""
+    poles, string, pairs = _factors(lam, system)
+    if string is None:
+        terms = _power(poles, system.length)
+    else:
+        terms = np.multiply(_power(poles, system.length - 1), string)
     if len(pairs):
         terms = np.multiply(terms, reduce(np.multiply, pairs))
     f = terms[0] - terms[1]
@@ -186,17 +200,23 @@ def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     """Analytic Jacobians dF_j/dlambda_r of the rows of lam, n x m x m, as a
     transposed view; powers come from `_power` and products as in `_residuals`."""
     n, m = lam.shape
-    s, length = system.spin.s, system.length
-    poles, pairs = _factors(lam, s)
-    lower = _power(poles, length - 1)
-    d_poles = length * lower
+    length = system.length
+    poles, string, pairs = _factors(lam, system)
+    # head = the factor of t1, t2 that depends on lambda_j alone, d_head its derivative
+    if string is None:
+        lower = _power(poles, length - 1)
+        head, d_head = np.multiply(lower, poles), length * lower
+    else:
+        lower = _power(poles, length - 2) if length > 2 else np.ones_like(poles)
+        top = np.multiply(lower, poles)
+        head, d_head = np.multiply(top, string), np.multiply((length - 1) * lower, string) + top
     if m == 1:
-        return (d_poles[0] - d_poles[1]).reshape(n, 1, 1)
-    # partial[c] = poles^L times the entries before c, then those after c
+        return (d_head[0] - d_head[1]).reshape(n, 1, 1)
+    # partial[c] = head times the entries before c, then those after c
     prefix = list(accumulate(pairs, np.multiply))
     suffix = list(accumulate(pairs[:0:-1], np.multiply))[::-1]
     partial = np.empty_like(pairs)
-    np.multiply(lower, poles, out=partial[0])
+    partial[0] = head
     for c in range(1, m - 1):
         np.multiply(partial[0], prefix[c - 1], out=partial[c])
     for c in range(m - 2):
@@ -206,7 +226,7 @@ def _jacobians(lam: np.ndarray, system: BetheSystem) -> np.ndarray:
     full = prefix[-1]
     out = np.empty((m, m, n), dtype=complex)
     out[np.arange(m), _pair_columns(m)] = off
-    out.reshape(m * m, n)[::m + 1] = d_poles[0] * full[0] - d_poles[1] * full[1] - off.sum(axis=0)
+    out.reshape(m * m, n)[::m + 1] = d_head[0] * full[0] - d_head[1] * full[1] - off.sum(axis=0)
     return out.transpose(2, 0, 1)
 
 
@@ -237,8 +257,8 @@ def _reject_reasons(lam: np.ndarray, s: float) -> np.ndarray:
     singular.  A converged row is finite: Newton starts only from finite
     seeds and moves only to points whose scaled residual is finite, which it
     is not where a root is infinite or NaN."""
-    # the cleared system has a spurious near-zero sheet near +-is; only the
-    # exact pair is meaningful there and it is handled in closed form
+    # the cleared system has a spurious near-zero sheet near +-is; only exact
+    # strings are meaningful there, and they are solved apart
     near_pole = np.minimum(np.abs(lam - 1j * s), np.abs(lam + 1j * s)).min(axis=1)
     degenerate = np.abs(lam[:, None] - lam[:, _pair_columns(lam.shape[1])]) < DEGENERACY_TOL
     # each reason overwrites those after it in the order of precedence
@@ -278,23 +298,25 @@ def newton_batch(system: BetheSystem, seeds, tol: float = 1e-10, max_iter: int =
     failed in), per row None (converged) or the reason it failed as an object
     array ("nonfinite" or "descendant" for a seed with an entry nonfinite or
     beyond DESCENDANT_CUTOFF, at iteration 0, then "singular-jacobian",
-    "stalled" or "max-iter"), and each row's best scaled residual (NaN for such
-    a seed and where the seed's residual or its scale is not finite).  A row reaches the
+    "stalled" or "max-iter", or "stopped" for a row a stop left unfinished), and
+    each row's best scaled residual (NaN for such a seed, for a stopped row and
+    where the seed's residual or its scale is not finite).  A row reaches the
     points it would reach alone (one line-search pass evaluates every damping
     level at once).  Rows run in blocks whose largest work array stays within
     bethe.BLOCK_ENTRIES: the Jacobian's (2 m^2 entries a row) or the line
     search's pair factors (2 m (m-1) per damping level, 16 m (m-1) a row).
     `settle`, if given, takes the roots, iterations and best residuals of the
     rows that converged in an iteration, in catalog order, block by block.  Once
-    it returns True, newton_batch returns, and only the rows it took hold an
-    outcome; a caller that never stops it gets the same bits as without it."""
+    it returns True, newton_batch returns: the rows that had not ended read
+    "stopped", with their seeds as roots and max_iter as iteration count.  A
+    caller that never stops it gets the same bits as without it."""
     lam = np.array(seeds, dtype=complex)
     if lam.ndim != 2 or lam.shape[1] != system.m:
         raise ValueError(f"seeds have shape {lam.shape}, system needs rows of {system.m}")
     n, m = lam.shape
     # written for a row when it ends; a row that never ends keeps max_iter
     iterations = np.full(n, max_iter)
-    reasons = np.full(n, None, dtype=object)
+    reasons = np.full(n, "stopped", dtype=object)
     best = np.full(n, np.nan)
     rows = max(1, bethe.BLOCK_ENTRIES // max(2 * m**2, 2 * len(_DAMPING) * m * (m - 1)))
     for start in range(0, n, rows):
@@ -356,7 +378,7 @@ def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, m
                 return True
         x, f, r_best = cand[pick], f_cand[pick], r[pick]
     lam[ids], best[ids] = x, r_best
-    reasons[ids[~(r_best <= tol)]] = "max-iter"
+    reasons[ids] = np.where(r_best <= tol, None, "max-iter")
     conv = ids[r_best <= tol]  # converged in the last iteration, unpolished
     return bool(settle and conv.size and settle(lam[conv], iterations[conv], best[conv]))
 
@@ -494,26 +516,6 @@ def _matches(fps: np.ndarray, refs: np.ndarray) -> np.ndarray:
                            for cands in (fps, np.conj(fps))))
 
 
-def singular_pair_state(spin: Spin, length: int) -> BetheState:
-    """Exact bound state of the rapidity pair {+i/2, -i/2} for spin 1/2.
-
-    The regularized limit of the pair is the alternating nearest-neighbour
-    two-magnon state sum_x (-1)^x |x, x+1> with energy -2, an exact
-    eigenvector for every even L (checked by the residuals attached to its
-    certificate, not assumed).
-    """
-    if spin.two_s != 1 or length % 2 != 0:
-        raise ChainError("exact singular pair exists for spin 1/2 and even L only")
-    basis = hilbert.sector_basis(spin, length, 2)
-    occ = basis.occupations
-    # column x - 1 marks the pair (x, x + 1), site L + 1 being site 1
-    pairs = occ * np.roll(occ, -1, axis=1)
-    vec = (pairs @ (-1) ** np.arange(1, length + 1)).astype(complex)
-    lam = (0.5j, -0.5j)
-    return BetheState(spin, length, None, lam, basis, vec, -2.0 + 0.0j,
-                      float(np.linalg.norm(vec)))
-
-
 def _certificate(state: BetheState, bethe_res: float, iterations: int,
                  hamiltonian: ChainHamiltonian, singular: bool = False) -> RootCertificate:
     return RootCertificate(
@@ -580,19 +582,95 @@ def solve_newton(system: BetheSystem, seed, opts: SolverOptions,
     return outcome
 
 
+def _axis_seeds(spin: Spin, length: int, n: int) -> np.ndarray:
+    """Seeds of n reduced roots with a pair +-iy just above the string factor's
+    zero at i(s+1), y = s + 1 + 1/8, 3/8, 5/8 and 7/8, the other n - 2 roots
+    each (n-2)-subset of the free momenta of `length` sites; none for n < 2."""
+    if n < 2:
+        return np.empty((0, n), dtype=complex)
+    rest = seed_catalog(BetheSystem(spin, length, n - 2), "free-momenta") or [np.empty(0)]
+    return np.array([np.concatenate(([1j * y, -1j * y], r))
+                     for y in spin.s + 1 + np.arange(1, 8, 2) / 8 for r in rest])
+
+
+def _string_sets(system: BetheSystem, opts: SolverOptions) -> list:
+    """(further roots, iterations, Bethe part) of each physical set of n = m - 2s - 1
+    roots beside the exact string: none but the string for n = 0; for n >= 1, under
+    `strings` only, the rows of Newton on the reduced equations, from `sector_seeds`
+    of (spin, L - 2, n) and `_axis_seeds`, that pass `_deflate`.  A set is physical
+    where |[(-1)^(2s) prod_j (l_j + is)/(l_j - is)]^L - 1| <= tol_newton; its Bethe
+    part is the larger of that and its reduced scaled residual."""
+    spin, length, n = system.spin, system.length, system.m - system.spin.two_s - 1
+    if n == 0:
+        roots, iterations, best = np.empty((1, 0), dtype=complex), np.zeros(1, int), np.zeros(1)
+    elif "strings" not in opts.strategies:
+        return []
+    else:
+        reduced = BetheSystem(spin, length, n, string=True)
+        seeds = np.concatenate((sector_seeds(BetheSystem(spin, length - 2, n), opts),
+                                _axis_seeds(spin, length - 2, n)))
+        roots, iterations, reasons, best = newton_batch(reduced, seeds, opts.tol_newton)
+        keep = np.flatnonzero(np.equal(reasons, None))
+        keep = keep[np.equal(_deflate(reduced, roots[keep], DeflationRegistry()), None)]
+        roots, iterations, best = roots[keep], iterations[keep], best[keep]
+    phase = (-1) ** spin.two_s * np.prod((roots + 1j * spin.s) / (roots - 1j * spin.s), axis=1)
+    parts = np.maximum(np.abs(_power(phase, length) - 1), best)
+    return [(r, int(i), float(p)) for r, i, p in zip(roots, iterations, parts)
+            if p <= opts.tol_newton]
+
+
+def _string_certificates(system: BetheSystem, sets: list, certs: list,
+                         hamiltonian: ChainHamiltonian, tol: float) -> list:
+    """Append to `certs` the singular certificate of each of `_string_sets`' `sets` that
+    leaves one direction at E = -2 H_{2s} - sum_j 2s/(l_j^2 + s^2); return those that leave
+    more.  Two shifted solves (H - E - STRING_SHIFT) x = b on the dense sector matrix, from
+    two random b of a constant-seeded generator, a projection onto ker S^+ by one solve in
+    sector m - 1 and orthogonalisation against the verified vectors of `certs` within `tol`
+    of E leave the directions at E that no certificate holds."""
+    spin, length, m = system.spin, system.length, system.m
+    if sets:
+        ham = hamiltonian.sector_matrix(m).toarray()
+        up = hilbert.sector_s_plus(spin, length, m).toarray()
+    waiting = []
+    for roots, iterations, part in sets:
+        energy = -2 * math.fsum(1 / k for k in range(1, spin.two_s + 1)) + \
+            bethe.energy_lambda(roots, spin)
+        shifted = ham - (energy.real + STRING_SHIFT) * np.eye(len(ham))
+        x = np.linalg.solve(shifted, np.random.default_rng(0).standard_normal((len(ham), 2)))
+        x = np.linalg.solve(shifted, x / np.linalg.norm(x, axis=0))
+        x = x - up.T @ np.linalg.solve(up @ up.T, up @ x)
+        known = [c.state.vector for c in certs if _verified(c) and abs(c.energy - energy) <= tol]
+        if known:
+            q = np.linalg.qr(np.column_stack(known))[0]
+            x = x - q @ (q.conj().T @ x)
+        vecs, sizes, _ = np.linalg.svd(x, full_matrices=False)
+        directions = np.count_nonzero(sizes > STRING_SHIFT ** -0.5)
+        if directions == 1:
+            lam = tuple(complex(0.0, spin.s - a) for a in range(spin.dim)) + tuple(roots)
+            vec = vecs[:, 0].astype(complex)
+            state = BetheState(spin, length, None, lam, hilbert.sector_basis(spin, length, m), vec,
+                               energy, float(np.linalg.norm(vec)))
+            certs.append(_certificate(state, part, iterations, hamiltonian, singular=True))
+        elif directions > 1:
+            waiting.append((roots, iterations, part))
+    return waiting
+
+
 def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
                  hamiltonian: ChainHamiltonian = None) -> list:
     """All distinct certified root sets the seed catalog reaches for one sector.
 
-    Newton runs on the whole catalog at once (`newton_batch`), and converged
-    rows are deflated in order of convergence, ties in catalog order, so the
-    first row to converge to a root set registers it.  Sector m holds
-    N_hw(m) = dim(m) - dim(m-1) highest-weight states, and distinct root sets
-    give orthogonal eigenvectors: Newton stops once N_hw(m) sets, the spin-1/2
-    singular pair included, have eigen and hw residuals within the default
-    1e-8, whatever filters `opts` set.  Root sets are returned sorted by
-    `order_key`; each carries its Bethe, eigenvector and highest-weight
-    residuals.  Sets failing the certification thresholds are dropped.
+    A sector with m >= 2s + 1 and at most su2.DENSE_THRESHOLD states first takes
+    the exact string's sets (`_string_certificates`), and tries those that leave
+    more than one direction once more at the end.  Newton runs on the whole catalog
+    at once (`newton_batch`), and converged rows are deflated in order of
+    convergence, ties in catalog order, so the first row to converge to a root set
+    registers it.  Sector m holds N_hw(m) = dim(m) - dim(m-1) highest-weight
+    states, and distinct root sets give orthogonal eigenvectors: Newton stops, or
+    never starts, once N_hw(m) sets, the singular ones included, have eigen and hw
+    residuals within the default 1e-8, whatever filters `opts` set.  Root sets are
+    returned sorted by `order_key`; each carries its Bethe, eigenvector and
+    highest-weight residuals.  Sets failing the certification thresholds are dropped.
     """
     if opts is None:
         opts = SolverOptions()
@@ -608,13 +686,10 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         vacuum = build_bethe_state(spin, length, k=())
         return [_certificate(vacuum, 0.0, 0, hamiltonian)]
 
-    certs = []
-    if spin.two_s == 1 and m == 2 and length % 2 == 0:
-        # the pair is new: rows near +-is are rejected before deflation
-        state = singular_pair_state(spin, length)
-        certs.append(_certificate(state, scaled_residual(np.array(state.lam), system), 0,
-                                  hamiltonian, singular=True))
-    dims = [len(hilbert.sector_basis(spin, length, k)) for k in (m - 1, m)]
+    certs, dims = [], [len(hilbert.sector_basis(spin, length, k)) for k in (m - 1, m)]
+    strings = m > spin.two_s and dims[1] <= su2.DENSE_THRESHOLD
+    waiting = _string_certificates(system, _string_sets(system, opts) if strings else [], certs,
+                                   hamiltonian, opts.tol_match)
     registry = DeflationRegistry()
     held, new = (np.empty((0, m), dtype=complex), np.empty(0, dtype=int), np.empty(0)), 0
 
@@ -635,8 +710,10 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
             held, new = tuple(a[:0] for a in held), 0
         return sum(map(_verified, certs)) >= need
 
-    newton_batch(system, sector_seeds(system, opts), opts.tol_newton, settle=settle)
-    settle(*(a[:0] for a in held), need=0)
+    if sum(map(_verified, certs)) < dims[1] - dims[0]:
+        newton_batch(system, sector_seeds(system, opts), opts.tol_newton, settle=settle)
+        settle(*(a[:0] for a in held), need=0)
+    _string_certificates(system, waiting, certs, hamiltonian, opts.tol_match)
     certs = [c for c in certs if c.certified(opts)]
     certs.sort(key=lambda c: order_key(c.energy, c.lam))
     return certs

@@ -6,7 +6,10 @@ tensor contractions, axis-moved contractions instead of per-entry strided
 site updates, scalar loops instead of the sector blocks' array build and
 product, the exchange recursion instead of the closed amplitude
 product, a scalar permutation loop instead of the subset-sum plane-wave kernel,
-centered finite differences instead of the analytic Jacobian, one Newton run
+centered finite differences instead of the analytic Jacobian, scalar loops
+over one-entry arrays instead of the batched kernels of the reduced
+equations, a closed form instead of the shifted solves of the string
+pair's state, one Newton run
 per seed instead of the lockstep batch, one scalar kernel call per sample
 instead of the suite's batched sampled checks, scalar loops and np.poly
 instead of the solver's array classification, seed draws and deflation, and
@@ -126,6 +129,115 @@ def naive_bethe_terms(lam, spin: Spin, length: int):
         t1.append(a)
         t2.append(b)
     return np.array(t1), np.array(t2)
+
+
+def _entry(z):
+    """One complex number as a one-entry array: NumPy multiplies arrays with
+    FMA, so only array products give the kernels' bits."""
+    return np.array([z], dtype=complex)
+
+
+def _scalar_power(z, n):
+    """z**n (n >= 1) by binary powering, one product at a time."""
+    out = z if n & 1 else None
+    while n := n >> 1:
+        z = np.multiply(z, z)
+        if n & 1:
+            out = z if out is None else np.multiply(out, z)
+    return out
+
+
+def _heads(lam_j, system: BetheSystem):
+    """Per sign +, -: the factor of the terms t1, t2 that depends on lambda_j alone,
+    (lambda_j +- is)^L, or with `system.string` (lambda_j +- is)^(L-1) (lambda_j -+ i(s+1)),
+    as the residual takes it and as the Jacobian does (from the power one lower),
+    and its derivative."""
+    s, length = system.spin.s, system.length
+    out = []
+    for shift in (1j, -1j):
+        pole = lam_j + s * _entry(shift)
+        if not system.string:
+            lower = _scalar_power(pole, length - 1)
+            out.append((_scalar_power(pole, length), np.multiply(lower, pole), length * lower))
+            continue
+        extra = lam_j - (s + 1) * _entry(shift)
+        lower = _scalar_power(pole, length - 2) if length > 2 else _entry(1.0)
+        top = np.multiply(lower, pole)
+        out.append((np.multiply(_scalar_power(pole, length - 1), extra), np.multiply(top, extra),
+                    np.multiply((length - 1) * lower, extra) + top))
+    return out
+
+
+def _pair_terms(lam, j, shift):
+    """The pair factors lambda_j - lambda_l - shift, l != j in ascending order."""
+    return [_entry(lam[j]) - _entry(lam[l]) - _entry(shift) for l in range(len(lam)) if l != j]
+
+
+def _left_product(factors):
+    out = factors[0]
+    for factor in factors[1:]:
+        out = np.multiply(out, factor)
+    return out
+
+
+def scalar_residual(lam, system: BetheSystem):
+    """F(lambda) and the scaled residual max_j |F_j| / (|t1_j| + |t2_j|), one root
+    and one sign at a time, the products in the kernels' order."""
+    lam = np.asarray(lam, dtype=complex)
+    f, scaled = [], 0.0
+    for j in range(len(lam)):
+        terms = []
+        for (head, _, _), shift in zip(_heads(_entry(lam[j]), system), (1j, -1j)):
+            pairs = _pair_terms(lam, j, shift)
+            terms.append(np.multiply(head, _left_product(pairs)) if pairs else head)
+        f.append((terms[0] - terms[1])[0])
+        scale = np.abs(terms[0]) + np.abs(terms[1])
+        scaled = max(scaled, float((np.abs(terms[0] - terms[1]) / scale)[0]) if scale[0] else 0.0)
+    return np.array(f), scaled
+
+
+def scalar_jacobian(lam, system: BetheSystem):
+    """dF_j/dlambda_r one entry at a time: the product of every pair factor but the
+    one of lambda_r is the head times the factors before it, left to right, times
+    those after it, right to left."""
+    lam = np.asarray(lam, dtype=complex)
+    m = len(lam)
+    out = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        heads = _heads(_entry(lam[j]), system)
+        if m == 1:
+            out[0, 0] = (heads[0][2] - heads[1][2])[0]
+            continue
+        sides = [_pair_terms(lam, j, shift) for shift in (1j, -1j)]
+        rest = []
+        for c in range(m - 1):
+            partial = []
+            for (_, head, _), pairs in zip(heads, sides):
+                value = head if c == 0 else np.multiply(head, _left_product(pairs[:c]))
+                if c < m - 2:
+                    value = np.multiply(value, _left_product(pairs[:c:-1]))
+                partial.append(value)
+            rest.append(partial[1] - partial[0])
+            out[j, c + (c >= j)] = rest[-1][0]
+        diag = np.multiply(heads[0][2], _left_product(sides[0])) - \
+            np.multiply(heads[1][2], _left_product(sides[1]))
+        total = rest[0]
+        for value in rest[1:]:
+            total = total + value
+        out[j, j] = (diag - total)[0]
+    return out
+
+
+def alternating_bound_state(basis):
+    """sum_x (-1)^x |x, x+1> on the spin-1/2, m = 2 sector basis, the pair
+    (L, L+1) being (1, L): the state of the exact string pair {+i/2, -i/2}."""
+    length = basis.length
+    out = np.zeros(len(basis), dtype=complex)
+    for x in range(1, length + 1):
+        occ = np.zeros(length, dtype=int)
+        occ[[x - 1, x % length]] = 1
+        out[basis_position(basis, occ)] += (-1) ** x
+    return out
 
 
 def fd_jacobian(lam, system: BetheSystem, rel_step=1e-7):

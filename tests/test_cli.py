@@ -461,12 +461,14 @@ def test_csv_paths_smoke():
 
 
 def test_singular_state_json_matches_schema():
-    from xxxchain.solver import singular_pair_state
+    from xxxchain.solver import solve_sector
     from xxxchain.su2 import Spin
 
-    payload = singular_pair_state(Spin(1), 4).to_json(residual=0.0)
-    validate("state", payload)
-    assert payload["k"] is None
+    for spin, length, m in ((Spin(1), 4, 2), (Spin(2), 4, 4)):
+        cert, = (c for c in solve_sector(spin, length, m) if c.singular)
+        payload = cert.state.to_json(residual=cert.eigen_residual)
+        validate("state", payload)
+        assert payload["k"] is None and len(payload["lambda"]) == m
 
 
 def test_reconcile_schema():

@@ -8,12 +8,15 @@ import pytest
 
 from oracles import (
     PolyRegistry,
+    alternating_bound_state,
     basis_position,
     classify_loop,
     fd_jacobian,
     naive_bethe_terms,
     newton_loop,
     random_seed_loop,
+    scalar_jacobian,
+    scalar_residual,
 )
 from test_verification import RECONCILE_COMPLETENESS
 from xxxchain import bethe, hilbert, solver
@@ -32,7 +35,6 @@ from xxxchain.solver import (
     scaled_residual,
     sector_seeds,
     seed_catalog,
-    singular_pair_state,
     solve_newton,
     solve_sector,
 )
@@ -143,6 +145,76 @@ def test_jacobian_on_exact_strings():
             numeric = fd_jacobian(lam, system, rel_step=1e-6)
             scale = np.max(np.abs(analytic)) + 1.0
             assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
+
+
+@pytest.mark.parametrize("string", [True, False])
+def test_kernels_match_scalar_oracle_bit_for_bit(string):
+    # with the string flag the heads are (lambda +- is)^(L-1) (lambda -+ i(s+1)); L = 2
+    # takes no power below the pole factor, m = 1 no pair factor
+    rng = np.random.default_rng(3)
+    for two_s, length, m in ((1, 8, 1), (1, 8, 3), (2, 5, 2), (3, 6, 4), (4, 3, 5), (1, 2, 2),
+                             (1, 13, 5)):
+        system = BetheSystem(Spin(two_s), length, m, string=string)
+        lam = rng.normal(size=(6, m)) + 1j * rng.normal(size=(6, m))
+        f, scaled = solver._residuals(lam, system)
+        jac = solver._jacobians(lam, system)
+        for row in range(len(lam)):
+            f_row, scaled_row = scalar_residual(lam[row], system)
+            assert f[row].tobytes() == f_row.tobytes() and scaled[row] == scaled_row
+            assert jac[row].tobytes() == scalar_jacobian(lam[row], system).tobytes()
+
+
+def test_reduced_residual_is_the_full_residual_beside_the_string():
+    # over the exact string the pair factors telescope: the cleared residual of a
+    # further root j in the full root set is K_j F_j of the reduced one, where
+    # K_j = (l_j + is)(l_j - is) prod_{|b| < s} (l_j - ib)
+    rng = np.random.default_rng(4)
+    for two_s, length, n in ((1, 8, 2), (2, 5, 2), (3, 4, 1), (4, 3, 3)):
+        spin = Spin(two_s)
+        string = [1j * (spin.s - a) for a in range(spin.dim)]
+        for _ in range(5):
+            lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+            reduced = bethe_residual(lam, BetheSystem(spin, length, n, string=True))
+            full = bethe_residual(np.concatenate((string, lam)),
+                                  BetheSystem(spin, length, spin.dim + n))[spin.dim:]
+            factor = [(z + 1j * spin.s) * (z - 1j * spin.s) *
+                      np.prod([z - 1j * (spin.s - a) for a in range(1, two_s)]) for z in lam]
+            t1, t2 = naive_bethe_terms(np.concatenate((string, lam)), spin, length)
+            scale = (np.abs(t1) + np.abs(t2))[spin.dim:]
+            assert np.all(np.abs(full - np.array(factor) * reduced) <= 1e-13 * scale)
+
+
+def test_reduced_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    for two_s, length, n in ((1, 8, 2), (2, 5, 3), (3, 4, 1), (1, 3, 2)):
+        system = BetheSystem(Spin(two_s), length, n, string=True)
+        lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+        analytic = jacobian(lam, system)
+        numeric = fd_jacobian(lam, system, rel_step=1e-7)
+        assert np.max(np.abs(analytic - numeric)) / (np.max(np.abs(analytic)) + 1.0) < 1e-6
+
+
+def _reaches(system, seeds, targets):
+    """Which of the root sets `targets` some converged row of newton_batch reaches."""
+    roots, _, reasons, _ = newton_batch(system, seeds)
+    converged = roots[np.equal(reasons, None)]
+    return [any(np.allclose(np.sort_complex(row), np.sort_complex(target), rtol=0, atol=1e-5)
+                for row in converged) for target in targets]
+
+
+def test_reduced_newton_reaches_every_string_set_of_spin_half_l8_m4():
+    # (1/2, 8, 4) holds three physical sets of n = 2 roots beside {+i/2, -i/2}; the
+    # pair +-1.55613i, 0.056 from +-3i/2, is reached only from the imaginary axis
+    spin = Spin(1)
+    system = BetheSystem(spin, 8, 2, string=True)
+    targets = ([-0.14247, 0.14247], [-0.56383, 0.56383], [-1.55613j, 1.55613j])
+    catalog = sector_seeds(BetheSystem(spin, 6, 2), SolverOptions())
+    axis = solver._axis_seeds(spin, 6, 2)
+    assert _reaches(system, catalog, targets) == [True, True, False]
+    assert _reaches(system, axis, targets)[2]
+    sets = solver._string_sets(BetheSystem(spin, 8, 4), SolverOptions())
+    assert len(sets) == 3 and all(part <= 1e-10 for _, _, part in sets)
+    assert all(_reaches(system, np.array([roots for roots, _, _ in sets]), targets))
 
 
 def test_newton_converges_immediately_on_exact_seed():
@@ -676,7 +748,8 @@ def test_solver_options_validation():
 
 
 # criterion-6 grid at the default seed: sorted energies of the certified
-# root sets per (spin, L, m), recorded before the vectorised Newton kernel
+# root sets per (spin, L, m), recorded before the vectorised Newton kernel; the
+# exact-string states at -6 (1/2, 6, 3) and -3 (1, 4, 3), (1, 5, 3) added since
 CRITERION6_GRID = {
     (1, 4, 1): [-4.0, -2.0, -2.0],
     (1, 4, 2): [-6.0, -2.0],
@@ -687,15 +760,15 @@ CRITERION6_GRID = {
     (1, 6, 1): [-4.0, -3.0, -3.0, -1.0, -1.0],
     (1, 6, 2): [-7.2360679775, -5.5615528128, -5.5615528128, -5.0, -5.0, -2.7639320225,
                 -2.0, -1.4384471872, -1.4384471872],
-    (1, 6, 3): [-8.6055512755, -4.0, -4.0, -1.3944487245],
+    (1, 6, 3): [-8.6055512755, -6.0, -4.0, -4.0, -1.3944487245],
     (2, 4, 1): [-2.0, -1.0, -1.0],
     (2, 4, 2): [-5.4142135624, -4.0, -4.0, -2.5857864376, -2.0, -2.0],
-    (2, 4, 3): [-7.0, -4.6180339887, -4.6180339887, -2.3819660113, -2.3819660113],
+    (2, 4, 3): [-7.0, -4.6180339887, -4.6180339887, -3.0, -2.3819660113, -2.3819660113],
     (2, 5, 1): [-1.8090169944, -1.8090169944, -0.6909830056, -0.6909830056],
     (2, 5, 2): [-5.3027756377, -4.5281586141, -4.5281586141, -2.898892369, -2.898892369,
                 -2.7602651382, -2.7602651382, -1.6972243623, -1.3126838787, -1.3126838787],
     (2, 5, 3): [-6.4854157477, -6.4854157477, -6.3379733047, -6.3379733047, -4.6092284551,
-                -4.6092284551, -4.0, -4.0, -2.7399852367, -2.7399852367, -2.6130244642,
+                -4.6092284551, -4.0, -4.0, -3.0, -2.7399852367, -2.7399852367, -2.6130244642,
                 -2.6130244642, -1.7143727915, -1.7143727915],
 }
 
@@ -749,8 +822,10 @@ def _verified(cert):
 def _settled_seed_by_seed(spin, length, m, opts, ham):
     """Certified root sets from solve_newton, seed by seed with one registry in
     order of convergence (Newton iterations, then catalog index), up to the
-    iteration group that brings the verified sets, the singular pair's
-    included, to N_hw(m); sorted as solve_sector sorts them."""
+    iteration group that brings the verified sets, solve_sector's singular ones
+    included, to N_hw(m); sorted as solve_sector sorts them.  (A singular set
+    that solve_sector certifies only after its regular run would count too
+    early here; no sector of the grid has one.)"""
     system, registry, certs = BetheSystem(spin, length, m), DeflationRegistry(), []
     seeds = sector_seeds(system, opts)
     order = []
@@ -759,10 +834,8 @@ def _settled_seed_by_seed(spin, length, m, opts, ham):
             order.append((newton_solve(system, seed, opts.tol_newton)[1], index))
         except NewtonFailureError:
             continue
-    verified, need = 0, _highest_weights(spin, length, m)
-    if spin.two_s == 1 and m == 2 and length % 2 == 0:
-        state = singular_pair_state(spin, length)
-        verified = eigen_residual(state, ham) <= 1e-8 and highest_weight_residual(state) <= 1e-8
+    need = _highest_weights(spin, length, m)
+    verified = sum(_verified(c) for c in solve_sector(spin, length, m, opts, ham) if c.singular)
     for _, group in itertools.groupby(sorted(order), key=lambda pair: pair[0]):
         for _, index in group:
             try:
@@ -784,7 +857,7 @@ def _settled_seed_by_seed(spin, length, m, opts, ham):
 def test_solve_sector_settles_as_solve_newton_seed_by_seed(spin, length, m, strategies):
     opts = SolverOptions(strategies=strategies)
     ham = ChainHamiltonian(spin, length)
-    # the injected singular pair is no Newton root
+    # the exact-string sets are no roots of the regular equations
     batch = [c for c in solve_sector(spin, length, m, opts, ham) if not c.singular]
     single = _settled_seed_by_seed(spin, length, m, opts, ham)
 
@@ -874,6 +947,27 @@ def test_newton_batch_hands_each_converged_row_to_settle_once(max_iter):
     assert first == [np.count_nonzero(whole[1][converged] == whole[1][order[0]])]
 
 
+def test_rows_a_stop_leaves_unfinished_read_stopped(monkeypatch):
+    # a stop at the first settle leaves rows of the first block unfinished and the
+    # later blocks unrun; only the rows settle took read None
+    system = BetheSystem(Spin(2), 4, 2)
+    seeds = sector_seeds(system, SolverOptions())
+    monkeypatch.setattr(bethe, "BLOCK_ENTRIES", 50 * 2 * len(solver._DAMPING) * 2)
+    whole = newton_batch(system, seeds)
+    taken = []
+    roots, iterations, reasons, best = newton_batch(
+        system, seeds, settle=lambda rows, *rest: taken.append(len(rows)) or True)
+    assert np.count_nonzero(np.equal(reasons, None)) == sum(taken) > 0
+    stopped = np.equal(reasons, "stopped")
+    assert stopped[50:].all() and stopped[:50].any()
+    assert np.array_equal(roots[stopped], seeds[stopped])
+    assert (iterations[stopped] == solver.MAX_ITER).all() and np.isnan(best[stopped]).all()
+    # every row that ended holds the outcome it has in a run with no stop
+    ended = ~stopped
+    assert list(reasons[ended]) == list(whole[2][ended])
+    assert np.array_equal(roots[ended], whole[0][ended])
+
+
 def test_solve_sector_builds_its_states_in_one_kernel_call(monkeypatch):
     calls = []
     kernel = bethe._plane_wave_sum
@@ -883,7 +977,7 @@ def test_solve_sector_builds_its_states_in_one_kernel_call(monkeypatch):
         return kernel(coords, u, spin)
 
     monkeypatch.setattr(bethe, "_plane_wave_sum", spy)
-    certs = solve_sector(Spin(1), 6, 3)
+    certs = [c for c in solve_sector(Spin(1), 6, 3) if not c.singular]
     assert len(calls) == 1 and calls[0][0] >= len(certs) > 1
 
 
@@ -909,28 +1003,89 @@ def test_certified_roots_conjugation_invariance():
         assert highest_weight_residual(state) < 1e-8
 
 
-def test_singular_pair_state_even_lengths():
-    for length in (4, 6, 8):
-        state = singular_pair_state(Spin(1), length)
-        # sum_x (-1)^x |x, x+1>, the pair (L, L+1) being (1, L)
-        expected = np.zeros(len(state.basis), dtype=complex)
-        for x in range(1, length + 1):
-            occ = np.zeros(length, dtype=int)
-            occ[[x - 1, x % length]] = 1
-            expected[basis_position(state.basis, occ)] += (-1) ** x
-        assert np.array_equal(state.vector, expected)
-        assert state.energy == -2.0
-        assert eigen_residual(state) < 1e-14
-        assert highest_weight_residual(state) < 1e-14
-        system = BetheSystem(Spin(1), length, 2)
-        assert scaled_residual(np.array(state.lam), system) == 0.0
+def test_string_pair_state_is_the_alternating_bound_state():
+    # the s = 1/2, n = 0 string {+i/2, -i/2} at m = 2, even L
+    for length in range(4, 13, 2):
+        certs = solve_sector(Spin(1), length, 2, SolverOptions(strategies=("free-momenta",)))
+        cert, = (c for c in certs if c.singular)
+        assert cert.lam == (0.5j, -0.5j) and cert.energy == -2.0 and cert.iterations == 0
+        assert cert.bethe_residual == 0.0
+        assert cert.eigen_residual < 1e-13 and cert.hw_residual < 1e-13
+        expected = alternating_bound_state(cert.state.basis)
+        expected /= np.linalg.norm(expected)
+        phase = np.vdot(expected, cert.state.vector)
+        assert abs(abs(phase) - 1) < 1e-12
+        assert np.max(np.abs(cert.state.vector - phase * expected)) < 1e-12
 
 
-def test_singular_pair_state_rejects_bad_inputs():
-    with pytest.raises(ChainError):
-        singular_pair_state(Spin(1), 5)
-    with pytest.raises(ChainError):
-        singular_pair_state(Spin(2), 4)
+@pytest.mark.parametrize("two_s, lengths", [(1, range(4, 12)), (2, range(3, 7)),
+                                             (3, range(3, 6)), (4, (3,))])
+def test_bare_string_is_certified_exactly_where_it_is_physical(two_s, lengths):
+    # at m = 2s + 1 the string alone is physical where [(-1)^(2s)]^L = 1; its
+    # energy -2 H_{2s} is then a level of the sector, which at (1, 6, 3) and
+    # (3/2, 4, 4) it shares with regular sets
+    spin = Spin(two_s)
+    string = tuple(1j * (spin.s - a) for a in range(spin.dim))
+    energy = -2 * sum(1 / k for k in range(1, two_s + 1))
+    for length in lengths:
+        certs = solve_sector(spin, length, spin.dim)
+        bare = [c for c in certs if c.singular and len(c.lam) == spin.dim]
+        assert len(bare) == (length % 2 == 0 or two_s % 2 == 0), length
+        for cert in bare:
+            assert cert.lam == string and abs(cert.energy - energy) < 1e-15
+            assert np.min(np.abs(sector_eigh(spin, length, spin.dim) - energy)) < 1e-9
+
+
+def test_string_set_waits_for_the_regular_sets_of_its_level(monkeypatch):
+    # at (3/2, 4, 4) the level -11/3 holds three highest-weight states: two regular
+    # sets and the bare string, which leaves more than one direction before the
+    # regular run and one after it
+    tries = []
+    certify = solver._string_certificates
+
+    def spy(system, sets, certs, *args):
+        before = len(certs)
+        waiting = certify(system, sets, certs, *args)
+        tries.append((len(sets), len(waiting), len(certs) - before))
+        return waiting
+
+    monkeypatch.setattr(solver, "_string_certificates", spy)
+    certs = solve_sector(Spin(3), 4, 4)
+    level = [c for c in certs if abs(c.energy.real + 11 / 3) < 1e-9]
+    # (sets tried, sets left waiting, certificates added)
+    assert tries == [(1, 1, 0), (1, 0, 1)]
+    assert [c.singular for c in level].count(True) == 1 and len(level) == 3
+    vectors = np.column_stack([c.state.vector / c.state.norm for c in level])
+    assert np.allclose(vectors.conj().T @ vectors, np.eye(3), rtol=0, atol=1e-12)
+
+
+def test_free_momenta_alone_runs_no_reduced_newton(monkeypatch):
+    # the reduced search belongs to the strings strategy; (1/2, 12, 4) has n = 2
+    systems = []
+    batch = solver.newton_batch
+
+    def spy(system, *args, **kwargs):
+        systems.append(system)
+        return batch(system, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_batch", spy)
+    certs = solve_sector(Spin(1), 12, 4, SolverOptions(strategies=("free-momenta",)))
+    assert systems == [BetheSystem(Spin(1), 12, 4)]
+    assert certs and not any(c.singular for c in certs)
+
+
+def test_string_sets_above_the_dense_threshold_stay_uncertified(monkeypatch):
+    # (1/2, 6, 3) has 20 states; at a threshold of 10 the string step is skipped
+    from xxxchain import su2
+
+    dense = []
+    toarray = hilbert.SectorBlock.toarray
+    monkeypatch.setattr(hilbert.SectorBlock, "toarray",
+                        lambda block: dense.append(block.shape) or toarray(block))
+    monkeypatch.setattr(su2, "DENSE_THRESHOLD", 10)
+    certs = solve_sector(Spin(1), 6, 3)
+    assert dense == [] and not any(c.singular for c in certs)
+    assert len(certs) == len(CRITERION6_GRID[1, 6, 3]) - 1
 
 
 def test_repeated_rapidity_solutions_are_excluded():

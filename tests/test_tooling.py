@@ -69,7 +69,34 @@ def test_output_digest_repeats_and_restores_the_solver(monkeypatch):
     assert (solver.newton_batch, solver.solve_sector) == before
     # one line per solve_sector call, with the workload's `certified` tally at seed 0
     assert len(lines) == 15
-    assert sum(int(line.split("certified=")[1].split()[0]) for line in lines) == 74
+    assert sum(int(_field(line, "certified")) for line in lines) == 77
+
+
+def _field(line, key):
+    return line.split(f" {key}=")[1].split()[0]
+
+
+def test_output_digest_regular_part_skips_singular_sets(monkeypatch):
+    # the exact-string sets are singular: without them five sectors certify one
+    # set less and run Newton longer, and every regular certificate is the same
+    import hashlib
+
+    from xxxchain import solver
+
+    args = ("--parts", "solve_grid", "--seeds", "0")
+    lines = run_script(OUTPUT_DIGEST, *args, monkeypatch=monkeypatch).splitlines()
+    monkeypatch.setattr(solver, "_string_sets", lambda system, opts: [])
+    bare = run_script(OUTPUT_DIGEST, *args, monkeypatch=monkeypatch).splitlines()
+    assert [_field(line, "regular") for line in lines] == [_field(line, "regular") for line in bare]
+    fewer = [line.split(" exact=")[0] for line, other in zip(lines, bare)
+             if int(_field(line, "certified")) != int(_field(other, "certified"))]
+    assert fewer == ["solve_grid 0 solve s=1/2 L=4 m=2", "solve_grid 0 solve s=1/2 L=6 m=2",
+                     "solve_grid 0 solve s=1/2 L=6 m=3", "solve_grid 0 solve s=1 L=4 m=3",
+                     "solve_grid 0 solve s=1 L=5 m=3"]
+    # past the equator nothing is certified, and the regular digest hashes nothing
+    empty = hashlib.sha256().hexdigest()
+    assert [_field(line, "regular") == empty for line in lines] == \
+        [_field(line, "certified") == "0" for line in lines]
 
 
 def _package_bindings():
@@ -129,9 +156,9 @@ def test_benchmark_operations_pass_their_own_checks():
             output = op.run()
             assert op.check(output) == [], (part, op.label)
             tallies[part] += op.tally(output)
-    # the workloads: solver = solve_grid + reconcile (221), states = wide_sector + verify (161)
+    # the workloads: solver = solve_grid + reconcile (226), states = wide_sector + verify (161)
     assert {part: tally["certified"] for part, tally in tallies.items()} == {
-        "solve_grid": 74, "reconcile": 147, "wide_sector": 91, "verify": 70}
+        "solve_grid": 77, "reconcile": 149, "wide_sector": 91, "verify": 70}
     assert tallies["reconcile"]["levels"] == 155
 
 

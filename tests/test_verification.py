@@ -113,8 +113,10 @@ def test_reconcile_spin_half_L4_complete():
 
 
 # matched / total ED levels of reconcile_spectrum over all sectors, as
-# recorded in the completeness table before the string seeds were deduplicated
-RECONCILE_COMPLETENESS = {(1, 6): (63, 64), (2, 3): (26, 27), (2, 4): (77, 81),
+# recorded in the completeness table before the string seeds were deduplicated,
+# raised by the exact-string states: -6 at (1/2, 6, 3), -3 at (1, 3, 3) and
+# (1, 4, 3), and -5 at (1, 4, 4)
+RECONCILE_COMPLETENESS = {(1, 6): (64, 64), (2, 3): (27, 27), (2, 4): (81, 81),
                           (3, 3): (58, 64)}
 
 
