@@ -9,7 +9,6 @@ import pytest
 from oracles import (
     PolyRegistry,
     alternating_bound_state,
-    basis_position,
     classify_loop,
     fd_jacobian,
     naive_bethe_terms,
@@ -20,7 +19,7 @@ from oracles import (
 )
 from test_verification import RECONCILE_COMPLETENESS
 from xxxchain import bethe, hilbert, solver
-from xxxchain.errors import ChainError, DegenerateRootsError, InputRangeError, NewtonFailureError
+from xxxchain.errors import DegenerateRootsError, InputRangeError, NewtonFailureError
 from xxxchain.hamiltonian import ChainHamiltonian
 from xxxchain.solver import (
     BetheSystem,
@@ -896,6 +895,10 @@ def test_complete_sector_stops_newton(monkeypatch):
     assert len(calls) <= 10
     assert np.allclose(sorted(c.energy.real for c in certs), CRITERION6_GRID[1, 4, 2],
                        rtol=0.0, atol=1e-9)
+    # spin 1, L=3, m=3 holds N_hw = 1 state, the bare string {i, 0, -i}: Newton never starts
+    calls.clear()
+    certs = solve_sector(Spin(2), 3, 3)
+    assert calls == [] and [(c.singular, c.energy) for c in certs] == [(True, -3.0)]
 
 
 def test_unverified_root_set_does_not_count(monkeypatch):
