@@ -1006,8 +1006,8 @@ def test_certified_roots_conjugation_invariance():
         assert highest_weight_residual(state) < 1e-8
 
 
-def test_string_pair_state_is_the_alternating_bound_state():
-    # the s = 1/2, n = 0 string {+i/2, -i/2} at m = 2, even L
+def test_singular_pair_state_even_lengths():
+    # the singular pair state: the s = 1/2, n = 0 string {+i/2, -i/2} at m = 2, even L
     for length in range(4, 13, 2):
         certs = solve_sector(Spin(1), length, 2, SolverOptions(strategies=("free-momenta",)))
         cert, = (c for c in certs if c.singular)
