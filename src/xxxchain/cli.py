@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, "length", "cap", "sector", "tolerances", "seed")
     sub.add_argument("--strategy", action="append",
                      choices=STRATEGIES,
-                     help="seeding strategy (repeatable; default: all)")
+                     help="seeding strategy (repeatable; default: all; random runs last)")
     sub.set_defaults(func=cmd_solve)
 
     sub = subs.add_parser("state", help="build a Bethe state from roots or momenta")

@@ -384,17 +384,19 @@ def _lockstep(system: BetheSystem, lam, iterations, reasons, best, tol: float, m
 
 
 def _newton_steps(jac: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Newton directions -J^{-1} F, one per row.  Where LAPACK finds a
-    Jacobian singular, the rows are halved until it stands alone, and only
-    it falls back to least squares."""
+    """Newton directions -J^{-1} F, one per row.  Where LAPACK's LU finds a
+    Jacobian exactly singular, the solve raises; then slogdet's sign, 0 on
+    the same rows, masks them, each takes least squares alone, and the others
+    share one solve.  (A mask taken on every call costs more than the raises.)"""
     try:
         return np.linalg.solve(jac, -f[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if len(jac) == 1:
-            return np.linalg.lstsq(jac[0], -f[0], rcond=None)[0][None]
-        half = len(jac) // 2
-        return np.concatenate((_newton_steps(jac[:half], f[:half]),
-                               _newton_steps(jac[half:], f[half:])))
+        singular = np.linalg.slogdet(jac)[0] == 0
+    steps = np.empty_like(f)
+    steps[~singular] = np.linalg.solve(jac[~singular], -f[~singular, :, None])[..., 0]
+    for row in np.flatnonzero(singular):
+        steps[row] = np.linalg.lstsq(jac[row], -f[row], rcond=None)[0]
+    return steps
 
 
 def free_momenta_rapidities(spin: Spin, length: int) -> list:
@@ -464,13 +466,13 @@ def seed_catalog(system: BetheSystem, strategy: str, rng=None,
     raise InputRangeError(f"unknown seeding strategy {strategy!r}")
 
 
-def sector_seeds(system: BetheSystem, opts: SolverOptions) -> np.ndarray:
-    """The seeds of every strategy in `opts.strategies`, in order, as the
-    rows of an n x m array; the random strategy draws from one generator
-    seeded with `opts.seed`, once per scale of RANDOM_SCALE_SWEEP."""
+def sector_seeds(system: BetheSystem, opts: SolverOptions, strategies=None) -> np.ndarray:
+    """The seeds of every strategy in `strategies` (default `opts.strategies`), in
+    order, as the rows of an n x m array; the random strategy draws from one
+    generator seeded with `opts.seed`, once per scale of RANDOM_SCALE_SWEEP."""
     rng = np.random.default_rng(opts.seed)
     seeds = [seed
-             for strategy in opts.strategies
+             for strategy in (opts.strategies if strategies is None else strategies)
              for scale in (RANDOM_SCALE_SWEEP if strategy == "random" else (1.0,))
              for seed in seed_catalog(system, strategy, rng=rng, n_random=opts.n_random,
                                       random_scale=opts.random_scale * scale)]
@@ -662,15 +664,19 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
 
     A sector with m >= 2s + 1 and at most su2.DENSE_THRESHOLD states first takes
     the exact string's sets (`_string_certificates`), and tries those that leave
-    more than one direction once more at the end.  Newton runs on the whole catalog
-    at once (`newton_batch`), and converged rows are deflated in order of
-    convergence, ties in catalog order, so the first row to converge to a root set
-    registers it.  Sector m holds N_hw(m) = dim(m) - dim(m-1) highest-weight
-    states, and distinct root sets give orthogonal eigenvectors: Newton stops, or
-    never starts, once N_hw(m) sets, the singular ones included, have eigen and hw
-    residuals within the default 1e-8, whatever filters `opts` set.  Root sets are
-    returned sorted by `order_key`; each carries its Bethe, eigenvector and
-    highest-weight residuals.  Sets failing the certification thresholds are dropped.
+    more than one direction once more at the end.  Newton runs in two stages, each
+    on a whole catalog at once (`newton_batch`): first the seeds of every strategy
+    in `opts.strategies` but random, then, as a fallback, the random ones, wherever
+    they stand in `opts.strategies`.  Converged rows are deflated in order of
+    convergence within a stage, ties in catalog order, so the first row to converge
+    to a root set registers it.  Sector m holds N_hw(m) = dim(m) - dim(m-1)
+    highest-weight states, and distinct root sets give orthogonal eigenvectors:
+    Newton stops, or a stage never starts, once N_hw(m) sets, the singular ones
+    included, have eigen and hw residuals within the default 1e-8, whatever filters
+    `opts` set; the states of the sets a stage leaves unbuilt are built after the
+    last stage, in one kernel call.  Root sets are returned sorted by `order_key`;
+    each carries its Bethe, eigenvector and highest-weight residuals.  Sets failing
+    the certification thresholds are dropped.
     """
     if opts is None:
         opts = SolverOptions()
@@ -690,10 +696,10 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     strings = m > spin.two_s and dims[1] <= su2.DENSE_THRESHOLD
     waiting = _string_certificates(system, _string_sets(system, opts) if strings else [], certs,
                                    hamiltonian, opts.tol_match)
-    registry = DeflationRegistry()
+    registry, need = DeflationRegistry(), dims[1] - dims[0]
     held, new = (np.empty((0, m), dtype=complex), np.empty(0, dtype=int), np.empty(0)), 0
 
-    def settle(*rows, need=dims[1] - dims[0]):
+    def settle(*rows, need=need):
         """Hold converged rows (roots, iterations, best residuals), the first `new`
         of them new root sets; deflate, then certify, only once those held could
         bring the verified certificates to `need`.  True once they have."""
@@ -710,9 +716,11 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
             held, new = tuple(a[:0] for a in held), 0
         return sum(map(_verified, certs)) >= need
 
-    if sum(map(_verified, certs)) < dims[1] - dims[0]:
-        newton_batch(system, sector_seeds(system, opts), opts.tol_newton, settle=settle)
-        settle(*(a[:0] for a in held), need=0)
+    for stage in ([s for s in opts.strategies if s != "random"],
+                  [s for s in opts.strategies if s == "random"]):
+        if stage and sum(map(_verified, certs)) < need:
+            newton_batch(system, sector_seeds(system, opts, stage), opts.tol_newton, settle=settle)
+    settle(*(a[:0] for a in held), need=0)
     _string_certificates(system, waiting, certs, hamiltonian, opts.tol_match)
     certs = [c for c in certs if c.certified(opts)]
     certs.sort(key=lambda c: order_key(c.energy, c.lam))

@@ -127,16 +127,20 @@ def test_reconcile_completeness_is_pinned():
 
 
 def test_reconcile_spin1_L3_reports_deficit():
+    # the deficit is empty: the exact three-string singlet at E = -3 (m = 3) is certified
     report = reconcile_spectrum(Spin(2), 3, 3)
-    assert report.total_levels == 27
-    assert report.matched_levels + len(report.unmatched) == 27
-    assert report.matched_levels >= 26
+    assert (report.matched_levels, report.total_levels) == (27, 27)
+    assert report.unmatched == []
+
+
+def test_reconcile_spin3half_L3_reports_the_double_root_multiplet():
+    # Q = z^2 at m = 2 (E = -8/3) is a repeated root, which no Bethe state of distinct
+    # roots reaches: its multiplet, m = 2 to 7, is the whole deficit
+    report = reconcile_spectrum(Spin(3), 3, 9)
+    assert (report.matched_levels, report.total_levels) == (58, 64)
+    assert [item["m"] for item in report.unmatched] == list(range(2, 8))
     for item in report.unmatched:
-        assert set(item) == {"m", "energy"}
-    if report.unmatched:  # the exact three-string singlet, if it stays deficit
-        assert len(report.unmatched) == 1
-        assert report.unmatched[0]["m"] == 3
-        assert abs(report.unmatched[0]["energy"] + 3.0) < 1e-9
+        assert set(item) == {"m", "energy"} and abs(item["energy"] + 8 / 3) < 1e-9
 
 
 def test_reconcile_order_ignores_last_bit_energy_noise(monkeypatch):
