@@ -33,7 +33,7 @@ def main():
     # report.matches holds one entry per multiplet, in the order of report.bethe
     for rec, match in zip(report.bethe, report.matches):
         roots = ", ".join(f"{z.real:+.4f}{z.imag:+.4f}i" for z in rec.lam)
-        tag = "  (singular pair)" if rec.singular else ""
+        tag = "  (exact string)" if rec.singular else ""
         print(f"{rec.m:>3} {rec.energy.real:>16.10f} {rec.multiplicity:>5} "
               f"{match['max_gap']:>10.2e}  [{roots}]{tag}")
     print(f"matched {report.matched_levels} / {report.total_levels} ED levels "

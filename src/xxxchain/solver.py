@@ -426,7 +426,8 @@ def _partitions(m: int, maxpart: int = None):
 
 
 def seed_catalog(system: BetheSystem, strategy: str, rng=None,
-                 n_random: int = 64, random_scale: float = 1.5) -> list:
+                 n_random: int = SolverOptions.n_random,
+                 random_scale: float = SolverOptions.random_scale) -> list:
     """Initial rapidity sets for one of the STRATEGIES."""
     spin, length, m = system.spin, system.length, system.m
     if m == 0:
@@ -498,15 +499,15 @@ class DeflationRegistry:
 
     def add_rows(self, lam: np.ndarray) -> np.ndarray:
         """Register the rows of an n x m array in order, each against the sets
-        registered before it; True where a row was new.  Registered sets strike the
-        rows matching them or their conjugates in one comparison, then each new row."""
+        registered before it; True where a row was new.  One comparison matches the
+        rows with the registered sets and with each other: a row is new where it
+        matches no registered set and no earlier new row, nor their conjugates."""
         fps = _fingerprints(lam)
         known = fps[:0] if self._fingerprints is None else self._fingerprints
-        fresh, new = ~_matches(fps, known).any(axis=1), np.zeros(len(fps), dtype=bool)
-        while fresh.any():
-            row = int(fresh.argmax())
-            new[row] = True
-            fresh &= ~_matches(fps, fps[row, None])[:, 0]
+        hits = _matches(fps, np.concatenate((known, fps)))
+        new, earlier = ~hits[:, :len(known)].any(axis=1), hits[:, len(known):]
+        for row in np.flatnonzero(new):
+            new[row] = not earlier[row, :row][new[:row]].any()
         self._fingerprints = np.concatenate((known, fps[new]))
         return new
 
@@ -667,16 +668,16 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     more than one direction once more at the end.  Newton runs in two stages, each
     on a whole catalog at once (`newton_batch`): first the seeds of every strategy
     in `opts.strategies` but random, then, as a fallback, the random ones, wherever
-    they stand in `opts.strategies`.  Converged rows are deflated in order of
-    convergence within a stage, ties in catalog order, so the first row to converge
-    to a root set registers it.  Sector m holds N_hw(m) = dim(m) - dim(m-1)
+    they stand in `opts.strategies`.  Converged rows are deflated as they arrive, in
+    order of convergence within a stage, ties in catalog order, so the first row to
+    converge to a root set registers it.  Sector m holds N_hw(m) = dim(m) - dim(m-1)
     highest-weight states, and distinct root sets give orthogonal eigenvectors:
     Newton stops, or a stage never starts, once N_hw(m) sets, the singular ones
     included, have eigen and hw residuals within the default 1e-8, whatever filters
-    `opts` set; the states of the sets a stage leaves unbuilt are built after the
-    last stage, in one kernel call.  Root sets are returned sorted by `order_key`;
-    each carries its Bethe, eigenvector and highest-weight residuals.  Sets failing
-    the certification thresholds are dropped.
+    `opts` set.  New sets wait for their states until they could bring the verified
+    sets to N_hw(m), or the last stage ends; then one kernel call builds them all.
+    Root sets are returned sorted by `order_key`; each carries its Bethe, eigenvector
+    and highest-weight residuals.  Sets failing the certification thresholds are dropped.
     """
     if opts is None:
         opts = SolverOptions()
@@ -696,31 +697,29 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
     strings = m > spin.two_s and dims[1] <= su2.DENSE_THRESHOLD
     waiting = _string_certificates(system, _string_sets(system, opts) if strings else [], certs,
                                    hamiltonian, opts.tol_match)
-    registry, need = DeflationRegistry(), dims[1] - dims[0]
-    held, new = (np.empty((0, m), dtype=complex), np.empty(0, dtype=int), np.empty(0)), 0
+    registry, need, held = DeflationRegistry(), dims[1] - dims[0], []
 
-    def settle(*rows, need=need):
-        """Hold converged rows (roots, iterations, best residuals), the first `new`
-        of them new root sets; deflate, then certify, only once those held could
-        bring the verified certificates to `need`.  True once they have."""
-        nonlocal held, new
-        held = tuple(map(np.concatenate, zip(held, rows)))
-        verified = sum(map(_verified, certs))
-        if verified + len(held[0]) >= need:
-            fresh = np.equal(_deflate(system, held[0][new:], registry), None)
-            held = tuple(np.concatenate((a[:new], a[new:][fresh])) for a in held)
-            new = len(held[0])
-        if verified + new >= need:
-            certs.extend(c for c in _certify(system, *held, hamiltonian)
+    def settle(roots, iterations, best):
+        """Deflate converged rows as they arrive, hold their new sets, `complete` at `need`."""
+        fresh = np.equal(_deflate(system, roots, registry), None)
+        held.append((roots[fresh], iterations[fresh], best[fresh]))
+        return complete(need)
+
+    def complete(target):
+        """Certify the held sets (roots, iterations, best residuals) in one kernel call once
+        they could bring the verified certificates to `target`; True once these reach it."""
+        count = sum(len(rows[0]) for rows in held)
+        if count and sum(map(_verified, certs)) + count >= target:
+            certs.extend(c for c in _certify(system, *map(np.concatenate, zip(*held)), hamiltonian)
                          if isinstance(c, RootCertificate))
-            held, new = tuple(a[:0] for a in held), 0
-        return sum(map(_verified, certs)) >= need
+            held.clear()
+        return sum(map(_verified, certs)) >= target
 
     for stage in ([s for s in opts.strategies if s != "random"],
                   [s for s in opts.strategies if s == "random"]):
-        if stage and sum(map(_verified, certs)) < need:
+        if stage and not complete(need):
             newton_batch(system, sector_seeds(system, opts, stage), opts.tol_newton, settle=settle)
-    settle(*(a[:0] for a in held), need=0)
+    complete(0)
     _string_certificates(system, waiting, certs, hamiltonian, opts.tol_match)
     certs = [c for c in certs if c.certified(opts)]
     certs.sort(key=lambda c: order_key(c.energy, c.lam))

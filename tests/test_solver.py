@@ -678,16 +678,21 @@ def test_registry_rows_equal_sequential_adds():
     assert list(new) == [True, False, True, False, False, False, True, True, False]
 
 
-def test_registry_rows_over_several_calls_equal_one_call():
+def test_registry_rows_over_several_calls_equal_one_call(monkeypatch):
+    # each add_rows call compares its rows with the registered sets and with each
+    # other in one _matches call
+    calls, matches = [], solver._matches
+    monkeypatch.setattr(solver, "_matches", lambda *args: calls.append(1) or matches(*args))
     base = np.array([0.3 + 0.4j, -0.2 - 0.1j, 1.1 + 0.0j])
     rows = np.array([base, base + 0.5, np.conj(base), base[::-1], np.conj(base + 0.5),
                      base + 1e-9, base + 0.1, np.conj(base + 0.1)[::-1], base - 0.2])
     whole = DeflationRegistry().add_rows(rows)
     assert list(whole) == [True, True, False, False, False, False, True, False, True]
     for cuts in ((1, 2, 3, 4, 5, 6, 7, 8), (2, 5), (0, 4, 4), (3, 7, 9)):
-        registry = DeflationRegistry()
-        flags = np.concatenate([registry.add_rows(part) for part in np.split(rows, cuts)])
-        assert list(flags) == list(whole), cuts
+        registry, parts = DeflationRegistry(), np.split(rows, cuts)
+        calls.clear()
+        flags = np.concatenate([registry.add_rows(part) for part in parts])
+        assert list(flags) == list(whole) and len(calls) == len(parts), cuts
 
 
 def test_deflation_registry_batch_follows_catalog_order():
@@ -985,6 +990,36 @@ def test_unverified_root_set_does_not_count(monkeypatch):
     assert stops and not any(stops)
     assert len(certs) == _highest_weights(spin, length, m) == 3
     assert [_verified(c) for c in certs].count(False) == 1
+
+
+def test_solve_sector_deflates_each_converged_row_once_on_arrival(monkeypatch):
+    # _deflate takes exactly the rows each settle call receives, in that call; only
+    # the sector's own system counts, not the exact string's reduced search
+    batch, deflate = solver.newton_batch, solver._deflate
+    settled, deflated = [], []
+
+    def spy_batch(system, seeds, tol, max_iter=solver.MAX_ITER, settle=None):
+        def recorded(roots, *rest):
+            settled.append(roots.copy())
+            return settle(roots, *rest)
+
+        return batch(system, seeds, tol, max_iter, settle=settle and recorded)
+
+    def spy_deflate(system, roots, registry):
+        if not system.string:
+            deflated.append(roots.copy())
+        return deflate(system, roots, registry)
+
+    monkeypatch.setattr(solver, "newton_batch", spy_batch)
+    monkeypatch.setattr(solver, "_deflate", spy_deflate)
+    # (1/2, 6, 3) stops early, (3/2, 3, 2) and (1, 6, 3) run both stages and end short;
+    # the bare string completes (1, 3, 3), which runs no Newton
+    runs = {(1, 6, 3): True, (3, 3, 2): True, (2, 6, 3): True, (2, 3, 3): False}
+    for (two_s, length, m), newton in runs.items():
+        del settled[:], deflated[:]
+        solve_sector(Spin(two_s), length, m, SolverOptions(seed=0))
+        assert bool(settled) == newton and all(len(roots) for roots in deflated)
+        assert [r.tobytes() for r in deflated] == [r.tobytes() for r in settled]
 
 
 # at max_iter = 5, eight rows reach the tolerance in the last iteration and

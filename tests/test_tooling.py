@@ -57,6 +57,30 @@ def test_reconcile_demo_rows_show_their_own_match(monkeypatch):
         assert gap == f"{match['max_gap']:.2e}"
 
 
+def test_readme_demo_commands_show_what_their_comments_claim(monkeypatch):
+    # the README's "Scripts" block, run with the same arguments
+    block = (ROOT / "README.md").read_text().split("## Scripts", 1)[1].split("```")[1]
+    commands = [line.split("#")[0].split()[2:] for line in block.splitlines()
+                if line.startswith("python scripts/reconcile_demo.py")]
+    assert commands == [["--spin", "1/2", "-L", "4", "-m", "2"],
+                        ["--spin", "3/2", "-L", "3", "-m", "4"],
+                        ["--spin", "1/2", "-L", "6", "-m", "6", "--json"]]
+    matched, deficit, report = (run_script(RECONCILE_DEMO, *args, monkeypatch=monkeypatch)
+                                for args in commands)
+    assert "matched 16 / 16 ED levels" in matched
+    # the double root Q = z^2 of (3/2, 3) leaves one level unmatched in m = 2..7
+    assert "matched 58 / 64 ED levels" in deficit
+    assert [line.split()[-1] for line in deficit.splitlines() if "deficit:" in line] == \
+        ["-2.6666666667"] * 6
+    validate("reconcile", json.loads(report))
+    # the exact-string multiplets, and only those, carry the tag: (1/2, 4, 2) has one
+    payload = json.loads(run_script(RECONCILE_DEMO, *commands[0], "--json",
+                                    monkeypatch=monkeypatch))
+    rows = [line for line in matched.splitlines() if line.lstrip()[:1].isdigit()]
+    tagged = [row.endswith("(exact string)") for row in rows]
+    assert tagged == [rec["singular"] for rec in payload["bethe"]] and any(tagged)
+
+
 def test_output_digest_repeats_and_restores_the_solver(monkeypatch):
     # two runs in one process print the same lines, and the script puts back
     # the Newton entry points it wraps
