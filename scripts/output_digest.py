@@ -1,7 +1,9 @@
 """Digests of the benchmark operations' outputs, for comparing two source trees.
 
 Runs the operations of `perfbench/workloads.py` (imported, never changed)
-for the given parts and seeds and prints one line per operation:
+for the given parts (by default all four, the whole benchmark: the Newton
+parts and `verify`'s H apply, ladders and suite) and seeds and prints one
+line per operation:
 
     PART SEED LABEL exact=SHA certified=N rounded=SHA regular=SHA
 
@@ -18,7 +20,7 @@ that certify the same root sets give the same `rounded` ones; a tree that adds
 singular sets and leaves every regular certificate as it was gives the same
 `regular` ones.  Run it from each tree's sources, e.g.
 
-    PYTHONPATH=src python scripts/output_digest.py --parts solve_grid reconcile --seeds 0-11
+    PYTHONPATH=src python scripts/output_digest.py --seeds 0-29
 """
 
 import argparse
@@ -129,8 +131,9 @@ def digest_lines(parts, seeds):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parts", nargs="+", default=["solve_grid", "reconcile", "wide_sector"],
-                        help="parts of perfbench/workloads.py (default: the Newton ones)")
+    parser.add_argument("--parts", nargs="+",
+                        default=["solve_grid", "reconcile", "wide_sector", "verify"],
+                        help="parts of perfbench/workloads.py (default: all four)")
     parser.add_argument("--seeds", type=_seeds, default=range(1),
                         help="a seed or an inclusive range FIRST-LAST (default 0)")
     args = parser.parse_args()

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
-from . import hilbert, verify
+from . import verify
 from .bethe import build_bethe_state
 from .errors import ChainError, InputRangeError, ResourceCapError
 from .hamiltonian import ChainHamiltonian, build_beta_table, local_h
@@ -132,7 +132,6 @@ def cmd_solve(args, parser):
     if args.sector is None:
         parser.error("solve requires -m/--sector")
     ham = ChainHamiltonian(spin, args.length, cap=_cap(args))
-    hilbert.check_sector(spin, args.length, args.sector)
     opts = _solver_options(args)
     certs = solve_sector(spin, args.length, args.sector, opts, ham)
     _emit(args, lambda: {"two_s": spin.two_s, "L": args.length, "m": args.sector,

@@ -43,8 +43,10 @@ class SectorBasis:
 
 
 def check_sector(spin: Spin, length: int, m: int):
-    """Raise InputRangeError unless m is a sector of the (spin, length) chain
-    whose states have 64-bit full-space indices."""
+    """Raise InputRangeError unless m, an int or a NumPy integer, is a sector of the
+    (spin, length) chain whose states have 64-bit indices; run before any sector work."""
+    if not isinstance(m, (int, np.integer)):
+        raise InputRangeError(f"sector m must be an integer, got {m!r}")
     if not (0 <= m <= spin.two_s * length):
         raise InputRangeError(f"sector m={m} outside 0..{spin.two_s * length}")
     if spin.dim**length > INT64_MAX:
@@ -52,7 +54,7 @@ def check_sector(spin: Spin, length: int, m: int):
             f"full space (2s+1)^L = {spin.dim}^{length} overflows 64-bit state indices")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float m never hits an int m's basis
 def sector_basis(spin: Spin, length: int, m: int) -> SectorBasis:
     check_sector(spin, length, m)
     # grow the lexicographic prefixes site by site, keeping those whose

@@ -26,7 +26,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (NumPy imports it lazily, on first use)
 
 from . import bethe, hilbert, su2
-from .bethe import BetheState, build_bethe_state, build_bethe_states
+from .bethe import BetheState, build_bethe_states
 from .errors import ChainError, InputRangeError, NewtonFailureError
 from .hamiltonian import ChainHamiltonian
 from .su2 import Spin
@@ -62,17 +62,16 @@ class SolverOptions:
     tol_newton: float = 1e-10
     tol_eigen: float = 1e-8
     tol_hw: float = 1e-8
-    tol_match: float = 1e-7
     seed: int = 0
     strategies: tuple = STRATEGIES
+    # how near two energies match: a level to ED, a string state to a certificate
+    tol_match: ClassVar[float] = 1e-7
     n_random: ClassVar[int] = 64
     random_scale: ClassVar[float] = 1.5
 
     def __post_init__(self):
-        for name in ("tol_newton", "tol_match"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise InputRangeError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 < self.tol_newton < math.inf:
+            raise InputRangeError(f"tol_newton must be finite and positive, got {self.tol_newton!r}")
         # an infinite tol_eigen or tol_hw switches that filter off
         for name in ("tol_eigen", "tol_hw"):
             value = getattr(self, name)
@@ -598,16 +597,18 @@ def _axis_seeds(spin: Spin, length: int, n: int) -> np.ndarray:
 
 def _string_sets(system: BetheSystem, opts: SolverOptions) -> list:
     """(further roots, iterations, Bethe part) of each physical set of n = m - 2s - 1
-    roots beside the exact string: none but the string for n = 0; for n >= 1, under
-    `strings` only, the rows of Newton on the reduced equations, from `sector_seeds`
-    of (spin, L - 2, n) and `_axis_seeds`, that pass `_deflate`.  A set is physical
-    where |[(-1)^(2s) prod_j (l_j + is)/(l_j - is)]^L - 1| <= tol_newton; its Bethe
-    part is the larger of that and its reduced scaled residual."""
+    roots beside the exact string, the one test of where strings apply: none unless
+    n >= 0 and the sector has at most su2.DENSE_THRESHOLD states; the string alone for
+    n = 0; for n >= 1, under `strings` only, the rows of Newton on the reduced equations,
+    from `sector_seeds` of (spin, L - 2, n) and `_axis_seeds`, that pass `_deflate`.  A
+    set is physical where |[(-1)^(2s) prod_j (l_j + is)/(l_j - is)]^L - 1| <= tol_newton;
+    its Bethe part is the larger of that and its reduced scaled residual."""
     spin, length, n = system.spin, system.length, system.m - system.spin.two_s - 1
+    if n < 0 or (n and "strings" not in opts.strategies) or \
+            len(hilbert.sector_basis(spin, length, system.m)) > su2.DENSE_THRESHOLD:
+        return []
     if n == 0:
         roots, iterations, best = np.empty((1, 0), dtype=complex), np.zeros(1, int), np.zeros(1)
-    elif "strings" not in opts.strategies:
-        return []
     else:
         reduced = BetheSystem(spin, length, n, string=True)
         seeds = np.concatenate((sector_seeds(BetheSystem(spin, length - 2, n), opts),
@@ -623,13 +624,13 @@ def _string_sets(system: BetheSystem, opts: SolverOptions) -> list:
 
 
 def _string_certificates(system: BetheSystem, sets: list, certs: list,
-                         hamiltonian: ChainHamiltonian, tol: float) -> list:
+                         hamiltonian: ChainHamiltonian) -> list:
     """Append to `certs` the singular certificate of each of `_string_sets`' `sets` that
     leaves one direction at E = -2 H_{2s} - sum_j 2s/(l_j^2 + s^2); return those that leave
     more.  Two shifted solves (H - E - STRING_SHIFT) x = b on the dense sector matrix, from
     two random b of a constant-seeded generator, a projection onto ker S^+ by one solve in
-    sector m - 1 and orthogonalisation against the verified vectors of `certs` within `tol`
-    of E leave the directions at E that no certificate holds."""
+    sector m - 1 and orthogonalisation against the verified vectors of `certs` within
+    `SolverOptions.tol_match` of E leave the directions at E that no certificate holds."""
     spin, length, m = system.spin, system.length, system.m
     if sets:
         ham = hamiltonian.sector_matrix(m).toarray()
@@ -642,7 +643,8 @@ def _string_certificates(system: BetheSystem, sets: list, certs: list,
         x = np.linalg.solve(shifted, np.random.default_rng(0).standard_normal((len(ham), 2)))
         x = np.linalg.solve(shifted, x / np.linalg.norm(x, axis=0))
         x = x - up.T @ np.linalg.solve(up @ up.T, up @ x)
-        known = [c.state.vector for c in certs if _verified(c) and abs(c.energy - energy) <= tol]
+        known = [c.state.vector for c in certs
+                 if _verified(c) and abs(c.energy - energy) <= SolverOptions.tol_match]
         if known:
             q = np.linalg.qr(np.column_stack(known))[0]
             x = x - q @ (q.conj().T @ x)
@@ -663,19 +665,20 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
                  hamiltonian: ChainHamiltonian = None) -> list:
     """All distinct certified root sets the seed catalog reaches for one sector.
 
-    A sector with m >= 2s + 1 and at most su2.DENSE_THRESHOLD states first takes
-    the exact string's sets (`_string_certificates`), and tries those that leave
-    more than one direction once more at the end.  Newton runs in two stages, each
-    on a whole catalog at once (`newton_batch`): first the seeds of every strategy
-    in `opts.strategies` but random, then, as a fallback, the random ones, wherever
-    they stand in `opts.strategies`.  Converged rows are deflated as they arrive, in
-    order of convergence within a stage, ties in catalog order, so the first row to
-    converge to a root set registers it.  Sector m holds N_hw(m) = dim(m) - dim(m-1)
-    highest-weight states, and distinct root sets give orthogonal eigenvectors:
-    Newton stops, or a stage never starts, once N_hw(m) sets, the singular ones
-    included, have eigen and hw residuals within the default 1e-8, whatever filters
-    `opts` set.  New sets wait for their states until they could bring the verified
-    sets to N_hw(m), or the last stage ends; then one kernel call builds them all.
+    `hilbert.check_sector` runs first, so an m outside 0..2sL raises InputRangeError;
+    past the equator (m > sL) no basis is built and no set is certified.  The exact
+    string's sets (`_string_sets` decides where they apply) are certified first, and
+    those that leave more than one direction once more at the end.  Newton runs in two
+    stages, each on a whole catalog at once (`newton_batch`): the seeds of every strategy
+    in `opts.strategies` but random, then, as a fallback, the random ones.  Converged
+    rows are deflated as they arrive, in order of convergence within a stage, ties in
+    catalog order, so the first row to converge to a root set registers it.  Sector m
+    holds N_hw(m) = dim(m) - dim(m-1) highest-weight states, and distinct root sets give
+    orthogonal eigenvectors: Newton stops, or a stage never starts, once N_hw(m) sets,
+    the singular ones included, have eigen and hw residuals within the default 1e-8,
+    whatever filters `opts` set.  New sets wait for their states until they could bring
+    the verified sets to N_hw(m), or the last stage ends; then one kernel call builds
+    them all.  The vacuum's empty root set, sector 0's one, waits from the start.
     Root sets are returned sorted by `order_key`; each carries its Bethe, eigenvector
     and highest-weight residuals.  Sets failing the certification thresholds are dropped.
     """
@@ -683,21 +686,17 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         opts = SolverOptions()
     if hamiltonian is None:
         hamiltonian = ChainHamiltonian(spin, length)
+    hilbert.check_sector(spin, length, m)
     if 2 * m > spin.two_s * length:
         # past the equator S^+ is injective on the sector: no highest-weight
         # vector exists, so no root set there can be certified
         return []
-    hilbert.check_sector(spin, length, m)
-    system = BetheSystem(spin, length, m)
-    if m == 0:
-        vacuum = build_bethe_state(spin, length, k=())
-        return [_certificate(vacuum, 0.0, 0, hamiltonian)]
-
-    certs, dims = [], [len(hilbert.sector_basis(spin, length, k)) for k in (m - 1, m)]
-    strings = m > spin.two_s and dims[1] <= su2.DENSE_THRESHOLD
-    waiting = _string_certificates(system, _string_sets(system, opts) if strings else [], certs,
-                                   hamiltonian, opts.tol_match)
-    registry, need, held = DeflationRegistry(), dims[1] - dims[0], []
+    system, certs, registry = BetheSystem(spin, length, m), [], DeflationRegistry()
+    waiting = _string_certificates(system, _string_sets(system, opts), certs, hamiltonian)
+    # N_hw(m) with dim(-1) = 0, and the (roots, iterations, best residuals) awaiting states
+    need = len(hilbert.sector_basis(spin, length, m)) - \
+        (m and len(hilbert.sector_basis(spin, length, m - 1)))
+    held = [] if m else [(np.empty((1, 0), dtype=complex), np.zeros(1, int), np.zeros(1))]
 
     def settle(roots, iterations, best):
         """Deflate converged rows as they arrive, hold their new sets, `complete` at `need`."""
@@ -720,7 +719,7 @@ def solve_sector(spin: Spin, length: int, m: int, opts: SolverOptions = None,
         if stage and not complete(need):
             newton_batch(system, sector_seeds(system, opts, stage), opts.tol_newton, settle=settle)
     complete(0)
-    _string_certificates(system, waiting, certs, hamiltonian, opts.tol_match)
+    _string_certificates(system, waiting, certs, hamiltonian)
     certs = [c for c in certs if c.certified(opts)]
     certs.sort(key=lambda c: order_key(c.energy, c.lam))
     return certs

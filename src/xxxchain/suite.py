@@ -285,10 +285,7 @@ def chain_checks_at(spin: Spin, length: int, seed: int = 0) -> list:
     # also catches any coupling between sectors
     bases = [hilbert.sector_basis(spin, length, m) for m in range(spin.two_s * length + 1)]
     subs = [rng.normal(size=len(b)) + 1j * rng.normal(size=len(b)) for b in bases]
-    lifted = np.zeros(ham.dim, dtype=complex)
-    for basis, sub in zip(bases, subs):
-        lifted[basis.full_indices] = sub
-    full = ham.apply(lifted)
+    full = ham.apply(sum(map(hilbert.embed_sector_vector, bases, subs)))
     worst = np.max([np.max(np.abs(ham.sector_matrix(basis.m) @ sub - full[basis.full_indices]))
                     for basis, sub in zip(bases, subs)])
     results.append(_check(f"sector-apply-matches-full{tag}", worst, 1e-12))

@@ -111,11 +111,13 @@ def highest_weight_residual(state: BetheState) -> float:
 
 
 def reconcile_spectrum(spin: Spin, length: int, m_max: int, opts=None) -> SpectrumReport:
-    """Match certified Bethe multiplets (each of dimension 2(Ls-m)+1, spanned by
-    repeated S^-) to the first closest free ED level of each sector they span;
-    leftover ED levels are itemized with their sector and energy."""
+    """Match certified Bethe multiplets of sectors 0..m_max (each of dimension 2(Ls-m)+1,
+    spanned by repeated S^-) to the first closest free ED level of each sector they span,
+    listing those they miss under `missing`; leftover ED levels are itemized with their
+    sector and energy.  An m_max outside 0..2sL raises InputRangeError before the ED."""
     from .solver import SolverOptions, order_key, solve_sector
 
+    hilbert.check_sector(spin, length, m_max)
     if opts is None:
         opts = SolverOptions()
     hamiltonian = ChainHamiltonian(spin, length)

@@ -10,8 +10,10 @@ import numpy as np
 
 import pytest
 
-from xxxchain import cli, solver, suite
+from xxxchain import cli, hilbert, solver, suite, verify
 from xxxchain.cli import main
+from xxxchain.errors import InputRangeError
+from xxxchain.su2 import Spin
 
 
 def run_cli(*argv, env=None, monkeypatch=None):
@@ -246,6 +248,30 @@ def test_solve_overfilled_sector_is_usage_error():
     assert not out and "sector m=9 outside 0..4" in err
     code, _, ed_err = run_cli("ed", "--spin", "1/2", "-L", "4", "-m", "9")
     assert code == 2 and ed_err == err
+
+
+# every way into one sector of the (1/2, L=4) chain, whose sectors are 0..4
+SECTOR_ENTRY_POINTS = {
+    "sector_basis": lambda m: hilbert.sector_basis(Spin(1), 4, m),
+    "sector_eigh": lambda m: verify.sector_eigh(Spin(1), 4, m),
+    "exact_diagonalize": lambda m: verify.exact_diagonalize(Spin(1), 4, m=m),
+    "solve_sector": lambda m: solver.solve_sector(Spin(1), 4, m),
+    "reconcile_spectrum": lambda m: verify.reconcile_spectrum(Spin(1), 4, m),
+}
+# -m is parsed as an integer, so the commands take only the integer cases
+SECTOR_CASES = [(entry, m) for entry in SECTOR_ENTRY_POINTS for m in (-1, 5, 1.5, 1.0)] + \
+    [(command, m) for command in ("solve", "ed") for m in (-1, 5)]
+
+
+@pytest.mark.parametrize("entry, m", SECTOR_CASES)
+def test_every_entry_point_rejects_a_sector_outside_the_chain(entry, m):
+    hilbert.sector_basis(Spin(1), 4, 1)  # m = 1.0 must not read this cached basis
+    if entry in SECTOR_ENTRY_POINTS:
+        with pytest.raises(InputRangeError, match="sector m"):
+            SECTOR_ENTRY_POINTS[entry](m)
+    else:
+        code, out, err = run_cli(entry, "--spin", "1/2", "-L", "4", "-m", str(m))
+        assert code == 2 and not out and f"sector m={m} outside 0..4" in err
 
 
 def test_unindexable_chain_is_usage_error(monkeypatch):

@@ -731,7 +731,8 @@ def test_solve_sector_energies_match_ed():
 def test_solve_sector_vacuum_and_overfilled():
     certs = solve_sector(Spin(1), 3, 0)
     assert len(certs) == 1 and certs[0].energy == 0
-    assert solve_sector(Spin(1), 3, 4) == []
+    with pytest.raises(InputRangeError):  # above 2sL = 3, as below 0
+        solve_sector(Spin(1), 3, 4)
 
 
 def test_solve_sector_stops_at_the_equator():
@@ -754,7 +755,7 @@ def test_solve_sector_rejects_an_unindexable_chain():
 
 def test_solver_options_validation():
     for bad in ({"tol_newton": math.nan}, {"tol_newton": math.inf}, {"tol_newton": 0.0},
-                {"tol_match": -1e-7}, {"tol_eigen": math.nan}, {"tol_hw": 0.0},
+                {"tol_eigen": math.nan}, {"tol_hw": 0.0},
                 {"seed": -1}, {"seed": 1.5}, {"seed": "7"}, {"seed": None},
                 {"strategies": ("two-string",)},
                 {"strategies": ("free-momenta", "bogus")}):
@@ -763,8 +764,10 @@ def test_solver_options_validation():
     assert SolverOptions().strategies == solver.STRATEGIES
     SolverOptions(strategies=("random", "strings"))
     SolverOptions(seed=np.int64(7))
-    with pytest.raises(TypeError):  # the random catalog's size and scale are constants
-        SolverOptions(n_random=5)
+    # the random catalog's size and scale and the matching tolerance are constants
+    for constant in ({"n_random": 5}, {"tol_match": -1e-7}):
+        with pytest.raises(TypeError):
+            SolverOptions(**constant)
     SolverOptions(tol_eigen=math.inf, tol_hw=math.inf)  # switches those filters off
     with pytest.raises(InputRangeError):
         solve_sector(Spin(1), 4, -1)

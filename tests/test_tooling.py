@@ -96,6 +96,14 @@ def test_output_digest_repeats_and_restores_the_solver(monkeypatch):
     assert sum(int(_field(line, "certified")) for line in lines) == 77
 
 
+def test_output_digest_covers_the_whole_benchmark_by_default(monkeypatch):
+    # without --parts, one line per operation of every part, verify's included
+    lines = run_script(OUTPUT_DIGEST, monkeypatch=monkeypatch).splitlines()
+    workloads = load_module("perfbench_workloads", WORKLOADS)
+    assert [line.split()[0] for line in lines] == \
+        [part for part, build in workloads.PARTS.items() for _ in build(0)]
+
+
 def _field(line, key):
     return line.split(f" {key}=")[1].split()[0]
 

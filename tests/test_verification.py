@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,36 @@ def test_reconcile_order_ignores_last_bit_energy_noise(monkeypatch):
     assert [(rec.m, rec.lam) for rec in perturbed.bethe] == \
         [(rec.m, rec.lam) for rec in clean.bethe]
     assert perturbed.matched_levels == clean.matched_levels
+
+
+@pytest.mark.parametrize("fault", ["repeated", "shifted"])
+def test_reconcile_itemizes_a_multiplet_it_cannot_match(monkeypatch, fault):
+    # one regular certificate of (1/2, 4, 2), a one-level multiplet, is returned twice
+    # or 1e-3 off its level: the extra or shifted multiplet lists sector 2 as missing
+    spin, length = Spin(1), 4
+    clean = reconcile_spectrum(spin, length, 2)
+    solve = solver.solve_sector
+
+    def faulty(spin, length, m, *args, **kwargs):
+        certs = solve(spin, length, m, *args, **kwargs)
+        if m == 2:
+            cert = next(c for c in certs if not c.singular)
+            if fault == "repeated":
+                certs.append(dataclasses.replace(cert))
+            else:
+                cert.energy += 1e-3
+        return certs
+
+    monkeypatch.setattr(solver, "solve_sector", faulty)
+    report = reconcile_spectrum(spin, length, 2)
+    short = [item for item in report.matches if item["missing"]]
+    assert len(short) == 1 and short[0]["m"] == 2 and short[0]["multiplicity"] == 1
+    assert short[0]["missing"] == [{"m": 2, "energy": short[0]["energy"]}]
+    dropped = 1 if fault == "shifted" else 0  # a repeat adds the level it misses
+    assert report.matched_levels == clean.matched_levels - dropped
+    assert report.matched_levels == sum(item["multiplicity"] for item in report.matches) - 1
+    assert report.matched_levels + len(report.unmatched) == report.total_levels == 16
+    assert len(report.unmatched) == dropped
 
 
 def test_reconcile_json_schema_shape():
